@@ -120,7 +120,7 @@ func main() {
 		os.Exit(1)
 	}
 	if store != nil {
-		if last := agg.Ledger().Store().LastSeq(); last > 0 {
+		if last := agg.Ledger().WAL().LastSeq(); last > 0 {
 			fmt.Fprintf(os.Stderr, "rfdumpc: fused ledger recovered from %s (last seq %d, %d retained)\n",
 				*storeDir, last, agg.Fuser().Len())
 		}

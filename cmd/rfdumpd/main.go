@@ -93,7 +93,7 @@ func main() {
 		capturePad = flag.Int("capture-pad", 0, "widen each captured burst by this many samples per side (0 = one chunk; negative disables padding)")
 		captureMax = flag.Int("capture-max", 0, "cap one captured burst at this many samples, keeping the head (0 = default 65536)")
 		tileSpan   = flag.Int("tile-samples", 1<<19, "persist one waterfall tile per this many ingest samples (negative disables)")
-		queryRPS   = flag.Float64("query-rps", 0, "per-host rate limit on history query endpoints in requests/s (0 = default 20; negative disables)")
+		queryRPS   = flag.Float64("query-rps", 0, "per-host rate limit on reads of the history store (paged queries, /api/detections, /api/packets) in requests/s (0 = default 20; negative disables)")
 		queryBurst = flag.Int("query-burst", 0, "history query burst ceiling per host (0 = 2x the rate)")
 	)
 	flag.Parse()

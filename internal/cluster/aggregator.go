@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"rfdump/internal/history"
@@ -71,7 +70,6 @@ type Aggregator struct {
 	cfg     AggregatorConfig
 	manager *Manager
 	ledger  *FusedLedger
-	broker  *serving.Broker
 	quota   *serving.Quota
 	reg     *metrics.Registry
 }
@@ -91,11 +89,10 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.StreamsTimeout <= 0 {
 		cfg.StreamsTimeout = 2 * time.Second
 	}
-	broker := serving.NewBrokerSharded(cfg.SSEQueue, cfg.EvictAfter, cfg.Shards, cfg.Registry)
 	ledger, err := NewFusedLedger(LedgerConfig{
 		Match:    cfg.Match,
 		Store:    cfg.Store,
-		Broker:   broker,
+		Broker:   serving.NewBrokerSharded(cfg.SSEQueue, cfg.EvictAfter, cfg.Shards, cfg.Registry),
 		Registry: cfg.Registry,
 	})
 	if err != nil {
@@ -104,7 +101,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	a := &Aggregator{
 		cfg:    cfg,
 		reg:    cfg.Registry,
-		broker: broker,
 		ledger: ledger,
 		quota:  serving.NewQuota(cfg.QueryRPS, cfg.QueryBurst, cfg.Registry),
 	}
@@ -173,7 +169,7 @@ func (a *Aggregator) onState(node string, connected bool) {
 	if connected {
 		typ = "node-up"
 	}
-	a.broker.Publish(serving.Event{Type: typ, Error: node})
+	a.ledger.WAL().Broker().Publish(serving.Event{Type: typ, Error: node})
 }
 
 // Handler serves the aggregator API: the fleet-specific routes
@@ -182,7 +178,8 @@ func (a *Aggregator) onState(node string, connected bool) {
 //	                      polled in parallel under StreamsTimeout with
 //	                      per-node errors reported, not hidden
 //	GET /api/detections — fused detections (?limit=, ?evidence=1 for
-//	                      full per-sensor evidence)
+//	                      full per-sensor evidence); "seq" here is the
+//	                      fused id, not a /api/live?since= value
 //	GET /api/nodes      — fleet membership + subscription status
 //
 // plus the shared serving core (identical to rfdumpd's, from the same
@@ -200,15 +197,12 @@ func (a *Aggregator) Handler() http.Handler {
 }
 
 // core assembles the shared serving surface over the fused ledger's
-// WAL store. Live events are published under WAL sequence numbers, so
-// the SSE catch-up replay and the live tail meet without duplicates —
-// the same discipline rfdumpd's hub follows, which is what lets a
-// parent aggregator subscribe to this one with the same manager code.
+// WAL — the same serving.Ledger type rfdumpd's hub writes through,
+// which is what lets a parent aggregator subscribe to this one with
+// the same manager code.
 func (a *Aggregator) core() *serving.Core {
 	return &serving.Core{
-		Broker:      a.broker,
-		Ledger:      serving.StoreLedger{Store: a.ledger.Store()},
-		Store:       a.ledger.Store(),
+		Ledger:      a.ledger.WAL(),
 		Quota:       a.quota,
 		Registry:    a.reg,
 		Refresh:     a.refreshGauges,
@@ -313,16 +307,12 @@ func (a *Aggregator) fetchStreams(ctx context.Context, client *http.Client, st N
 }
 
 func (a *Aggregator) handleDetections(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = v
+	limit, err := serving.QueryUint(r, "limit")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	fused := a.Fuser().Recent(limit)
+	fused := a.Fuser().Recent(int(limit))
 	if r.URL.Query().Get("evidence") != "" {
 		serving.WriteJSON(w, map[string]any{"detections": fused})
 		return

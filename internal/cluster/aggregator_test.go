@@ -16,6 +16,7 @@ import (
 	"rfdump/internal/history"
 	"rfdump/internal/metrics"
 	"rfdump/internal/server"
+	"rfdump/internal/serving"
 )
 
 // withStreams extends the fake node with the /api/streams inventory
@@ -64,10 +65,10 @@ func getJSON(t *testing.T, url string, v any) int {
 func TestAggregatorSurface(t *testing.T) {
 	shared := int64(5_000_000) // the packet both sensors heard
 	nodeA, nodeB := &fakeNode{}, &fakeNode{}
-	nodeA.set([]server.Event{detEvent(1, shared), detEvent(2, 20_000_000)})
+	nodeA.set([]serving.Event{detEvent(1, shared), detEvent(2, 20_000_000)})
 	evB := detEvent(1, shared+30) // 30 ticks of skew at sensor B
 	evB.Detection.Confidence = 0.95
-	nodeB.set([]server.Event{evB})
+	nodeB.set([]serving.Event{evB})
 
 	tsA := httptest.NewServer(withStreams(nodeA, server.StreamInfo{ID: 1, Remote: "radioA"}))
 	defer tsA.Close()
@@ -89,7 +90,7 @@ func TestAggregatorSurface(t *testing.T) {
 
 	// Flattened view: fleet-unaware clients see plain detection records.
 	var flat struct {
-		Detections []server.DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, api.URL+"/api/detections", &flat)
 	if len(flat.Detections) != 2 {
@@ -187,7 +188,7 @@ func TestAggregatorSurface(t *testing.T) {
 // passes StallAfter, and recover to 200 when the manager resubscribes.
 func TestAggregatorHealthzDegradeRecover(t *testing.T) {
 	node := &fakeNode{}
-	node.set([]server.Event{detEvent(1, 1_000_000)})
+	node.set([]serving.Event{detEvent(1, 1_000_000)})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +247,7 @@ func TestAggregatorHealthzDegradeRecover(t *testing.T) {
 // feed.
 func TestAggregatorLiveReplay(t *testing.T) {
 	node := &fakeNode{}
-	node.set([]server.Event{detEvent(1, 1_000_000), detEvent(2, 2_000_000), detEvent(3, 3_000_000)})
+	node.set([]serving.Event{detEvent(1, 1_000_000), detEvent(2, 2_000_000), detEvent(3, 3_000_000)})
 	ts := httptest.NewServer(node.handler())
 	defer ts.Close()
 
@@ -272,7 +273,7 @@ func TestAggregatorLiveReplay(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	events := make(chan server.Event, 16)
+	events := make(chan serving.Event, 16)
 	go func() {
 		sc := bufio.NewScanner(resp.Body)
 		for sc.Scan() {
@@ -280,19 +281,19 @@ func TestAggregatorLiveReplay(t *testing.T) {
 			if !strings.HasPrefix(line, "data: ") {
 				continue
 			}
-			var ev server.Event
+			var ev serving.Event
 			if json.Unmarshal([]byte(line[len("data: "):]), &ev) == nil {
 				events <- ev
 			}
 		}
 	}()
-	next := func(what string) server.Event {
+	next := func(what string) serving.Event {
 		select {
 		case ev := <-events:
 			return ev
 		case <-time.After(3 * time.Second):
 			t.Fatalf("timed out waiting for %s", what)
-			return server.Event{}
+			return serving.Event{}
 		}
 	}
 
@@ -333,7 +334,7 @@ func TestAggregatorLiveReplay(t *testing.T) {
 // silently truncating — the response.
 func TestAggregatorStreamsStalledNode(t *testing.T) {
 	good := &fakeNode{}
-	good.set([]server.Event{detEvent(1, 1_000_000)})
+	good.set([]serving.Event{detEvent(1, 1_000_000)})
 	tsGood := httptest.NewServer(withStreams(good, server.StreamInfo{ID: 1, Remote: "radioA"}))
 	defer tsGood.Close()
 

@@ -82,8 +82,9 @@ type Evidence = history.SensorEvidence
 // it: every sensor sighting the fuser matched together, under one
 // aggregator-wide sequence number.
 type FusedDetection struct {
-	// Seq is the aggregator's ledger sequence (the /api/live?since=
-	// cursor on the fused feed).
+	// Seq is the fused-detection id (the Fused field of its WAL
+	// records). It is not a /api/live?since= value: that cursor is the
+	// WAL sequence number the feed's events carry.
 	Seq uint64 `json:"seq"`
 	// Family and Channel are shared by all evidence (the matcher never
 	// merges across either).

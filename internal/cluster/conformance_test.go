@@ -8,6 +8,7 @@ import (
 
 	"rfdump/internal/metrics"
 	"rfdump/internal/server"
+	"rfdump/internal/serving"
 	"rfdump/internal/serving/conformance"
 )
 
@@ -18,7 +19,7 @@ import (
 // a parent aggregator subscribes to whatever passes this suite.
 func TestServingConformance(t *testing.T) {
 	node := &fakeNode{}
-	node.set([]server.Event{
+	node.set([]serving.Event{
 		detEvent(1, 1_000_000),
 		detEvent(2, 5_000_000),
 		detEvent(3, 9_000_000),

@@ -195,3 +195,122 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("fused counter %d != ledger %d", got, len(fused))
 	}
 }
+
+// TestTwoStreamsOneNodeFuseExactlyOnce holds exactly-once fusion for a
+// node with more than one ingest stream: two goroutines write
+// detections through one hub concurrently, a real Manager consumes the
+// node's feed, and the fused ledger must match a naive oracle — plain
+// overlap clustering over everything that was written, blind to
+// arrival order — with no event discarded by the manager's seq guard.
+func TestTwoStreamsOneNodeFuseExactlyOnce(t *testing.T) {
+	const bursts = 1000
+	clock := iq.Clock{Rate: 20_000_000}
+	cfg, err := core.ParseDetectors("timing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(clock, cfg, func() core.Analyzer { return demod.NewWiFiDemod() })
+	// The manager's subscription must never be why an event is missing.
+	d, err := server.NewDaemon(server.Options{Engine: eng, SubscriberQueue: 4 * bursts, EvictAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.APIHandler())
+	defer func() {
+		ts.Close()
+		d.Close()
+	}()
+
+	reg := metrics.NewRegistry()
+	agg, err := NewAggregator(AggregatorConfig{
+		// Match across the whole run, however far one stream runs ahead
+		// of the other: the oracle knows no reorder horizon.
+		Match:      MatchConfig{Lookback: 4 * bursts},
+		MinBackoff: time.Millisecond,
+		MaxBackoff: 20 * time.Millisecond,
+		Seed:       1,
+		Registry:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	agg.Add("n1", strings.TrimPrefix(ts.URL, "http://"))
+	waitFor(t, "subscription", func() bool { return agg.Manager().Connected() == 1 })
+
+	// Stream 1 hears every burst on its timing detector; stream 2 hears
+	// two in three of them, 24 ticks askew, on phase.
+	type span struct{ start, end int64 }
+	var (
+		written []span
+		wmu     sync.Mutex
+		wg      sync.WaitGroup
+	)
+	hub := d.Hub()
+	feed := func(id uint32, detector string, skew int64, hears func(int) bool) {
+		defer wg.Done()
+		st, _ := hub.Attach(server.AttachSpec{Remote: detector, Meta: wire.StreamMeta{StreamID: id, Rate: clock.Rate}})
+		for k := 0; k < bursts; k++ {
+			if !hears(k) {
+				continue
+			}
+			start := int64(k)*100_000 + skew
+			hub.Detection(st, core.Detection{
+				Family: protocols.WiFi80211b1M, Detector: detector, Confidence: 0.9, Channel: 6,
+				Span: iq.Interval{Start: iq.Tick(start), End: iq.Tick(start + 20_000)},
+			})
+			wmu.Lock()
+			written = append(written, span{start, start + 20_000})
+			wmu.Unlock()
+		}
+	}
+	wg.Add(2)
+	go feed(1, "timing", 0, func(int) bool { return true })
+	go feed(2, "phase", 24, func(k int) bool { return k%3 != 0 })
+	wg.Wait()
+
+	waitFor(t, "the manager to consume the node's feed", func() bool {
+		nodes := agg.Manager().Nodes()
+		return len(nodes) == 1 && nodes[0].LastSeq == uint64(len(written))
+	})
+
+	// The oracle: sightings belong together when their spans overlap by
+	// half the shorter one; count the clusters.
+	cluster := make([]int, len(written))
+	for i := range cluster {
+		cluster[i] = i
+	}
+	find := func(i int) int {
+		for cluster[i] != i {
+			i = cluster[i]
+		}
+		return i
+	}
+	for i, a := range written {
+		for j, b := range written[:i] {
+			ov := min(a.end, b.end) - max(a.start, b.start)
+			if 2*ov >= min(a.end-a.start, b.end-b.start) {
+				cluster[find(i)] = find(j)
+			}
+		}
+	}
+	want := 0
+	for i := range cluster {
+		if find(i) == i {
+			want++
+		}
+	}
+
+	if dup := reg.Counter("cluster/events_duplicate").Load(); dup != 0 {
+		t.Errorf("manager discarded %d events as seq duplicates", dup)
+	}
+	fused := agg.Fuser().Recent(0)
+	evidence := 0
+	for _, fd := range fused {
+		evidence += len(fd.Evidence)
+	}
+	if len(fused) != want || evidence != len(written) {
+		t.Fatalf("fused %d detections carrying %d sightings, oracle says %d carrying %d",
+			len(fused), evidence, want, len(written))
+	}
+}

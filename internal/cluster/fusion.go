@@ -228,11 +228,11 @@ func (f *Fuser) overlaps(fd *FusedDetection, absStart, absEnd int64) bool {
 // then require the intersection to cover MinOverlap of the shorter
 // original span.
 func spanOverlap(aStart, aEnd, bStart, bEnd, slack int64, minFrac float64) bool {
-	ov := min64(aEnd+slack, bEnd+slack) - max64(aStart-slack, bStart-slack)
+	ov := min(aEnd+slack, bEnd+slack) - max(aStart-slack, bStart-slack)
 	if ov <= 0 {
 		return false
 	}
-	short := min64(aEnd-aStart, bEnd-bStart)
+	short := min(aEnd-aStart, bEnd-bStart)
 	if short <= 0 {
 		short = 1
 	}
@@ -253,27 +253,6 @@ func (f *Fuser) Recent(limit int) []FusedDetection {
 		out = append(out, f.snapshotLocked(f.ring[i]))
 	}
 	return out
-}
-
-// Since returns fused detections with Seq > since, ascending — the
-// /api/live catch-up replay on the fused feed.
-func (f *Fuser) Since(since uint64) []FusedDetection {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []FusedDetection
-	for _, fd := range f.ring {
-		if fd.Seq > since {
-			out = append(out, f.snapshotLocked(fd))
-		}
-	}
-	return out
-}
-
-// LastSeq returns the newest fused sequence number assigned.
-func (f *Fuser) LastSeq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq
 }
 
 // Len returns the retained ledger size.
@@ -302,18 +281,4 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

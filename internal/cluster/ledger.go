@@ -18,21 +18,21 @@ type LedgerConfig struct {
 	// fused ledger, its seq epoch and its dedup state survive SIGKILL.
 	// The ledger owns the store and closes it in Close.
 	Store history.Store
-	// Broker, when set, receives one live event per WAL append, under
-	// the WAL sequence number and inside the ledger lock — publish
-	// order is sequence order, which is what a downstream manager's
-	// seq-dedup guard requires.
+	// Broker receives one live event per WAL append, under the WAL
+	// sequence number (serving.Ledger's one write path). Nil takes a
+	// private broker nobody outside the ledger subscribes to.
 	Broker *serving.Broker
 	// Registry receives cluster/* metrics; nil disables.
 	Registry *metrics.Registry
 }
 
 // FusedLedger is the aggregator's ledger: content-level fusion (the
-// Fuser) journaled through a history.Store. Every sighting that
-// changes the fused state — a new fused detection, or new evidence
-// merged into one — appends exactly one detection record to the store:
+// Fuser) journaled through the same serving.Ledger a node's hub writes
+// to. Every sighting that changes the fused state — a new fused
+// detection, or new evidence merged into one — writes exactly one
+// detection record (WAL append + live event, one step):
 //
-//   - Seq is store-assigned (monotone, recovered across restarts), so
+//   - Seq is ledger-assigned (monotone, recovered across restarts), so
 //     the aggregator's /api/live and /api/history speak the same
 //     sequence discipline a node does;
 //   - Fused links the record to its fused-detection id, Merge marks an
@@ -49,15 +49,12 @@ type LedgerConfig struct {
 // smoke test pins down — SIGKILL the aggregator, restart it on the
 // same store, and bounds, seqs and dedup state all come back.
 type FusedLedger struct {
-	fuser  *Fuser
-	store  history.Store
-	broker *serving.Broker
-
+	fuser   *Fuser
+	wal     *serving.Ledger
 	walErrs *metrics.Counter
 
-	// mu serializes fuse + WAL append + publish so events reach the
-	// broker in sequence order. Publish never blocks (bounded queues),
-	// so holding the lock across it is safe.
+	// mu serializes fuse + WAL write, so WAL order is fusion order (a
+	// merge never lands ahead of the create it extends).
 	mu      sync.Mutex
 	streams map[string]map[uint64]uint64 // node → node stream id → fused id
 	nextID  uint64
@@ -81,10 +78,13 @@ func NewFusedLedger(cfg LedgerConfig) (*FusedLedger, error) {
 			return nil, err
 		}
 	}
+	broker := cfg.Broker
+	if broker == nil {
+		broker = serving.NewBroker(0, 0, cfg.Registry)
+	}
 	l := &FusedLedger{
 		fuser:   NewFuser(cfg.Match, cfg.Registry),
-		store:   store,
-		broker:  cfg.Broker,
+		wal:     serving.NewLedger(store, broker),
 		walErrs: cfg.Registry.Counter("cluster/wal_errors"),
 		streams: make(map[string]map[uint64]uint64),
 	}
@@ -102,14 +102,9 @@ func (l *FusedLedger) recover() error {
 	var (
 		ring     []*FusedDetection
 		byID     = make(map[uint64]*FusedDetection)
-		cursor   uint64
 		maxFused uint64
 	)
-	for {
-		recs, next, more, err := l.store.QueryDetections(history.Query{Cursor: cursor})
-		if err != nil {
-			return err
-		}
+	err := history.Walk(l.wal.Store().QueryDetections, 0, func(recs []history.DetectionRecord) bool {
 		for i := range recs {
 			rec := &recs[i]
 			if rec.Fused == 0 {
@@ -150,13 +145,10 @@ func (l *FusedLedger) recover() error {
 				fd.Channel = rec.Channel
 			}
 		}
-		cursor = next
-		if !more {
-			break
-		}
-	}
-	if len(ring) == 0 {
-		return nil
+		return true
+	})
+	if err != nil || len(ring) == 0 {
+		return err
 	}
 	for _, fd := range ring {
 		fd.Sensors = countSensors(fd.Evidence)
@@ -168,12 +160,12 @@ func (l *FusedLedger) recover() error {
 // Fuser exposes the fused in-memory ledger (queries, tests, rfbench).
 func (l *FusedLedger) Fuser() *Fuser { return l.fuser }
 
-// Store exposes the WAL store (the aggregator's serving ledger and DVR
-// query surface run over it).
-func (l *FusedLedger) Store() history.Store { return l.store }
+// WAL exposes the record path the fused ledger journals through (the
+// aggregator's serving core runs over it).
+func (l *FusedLedger) WAL() *serving.Ledger { return l.wal }
 
 // Close releases the WAL store.
-func (l *FusedLedger) Close() error { return l.store.Close() }
+func (l *FusedLedger) Close() error { return l.wal.Close() }
 
 // FusedStream maps a node-local stream id to its fleet-unique id,
 // allocating on first sight. Ids are stable for the ledger's lifetime
@@ -214,9 +206,9 @@ func (l *FusedLedger) Streams() int {
 //
 // It returns the WAL record written (nil when the sighting was a pure
 // duplicate, or on a WAL write error) and what the fuser did. The WAL
-// record is also what the broker published, so a caller chaining
-// ledgers (rfbench's tree row) can feed it straight into the next
-// level.
+// record is also what the broker published — read-only from here on —
+// so a caller chaining ledgers (rfbench's tree row) can feed it
+// straight into the next level.
 func (l *FusedLedger) Ingest(node string, stream uint64, rec *history.DetectionRecord) (*history.DetectionRecord, IngestResult) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -269,7 +261,7 @@ func (l *FusedLedger) Ingest(node string, stream uint64, rec *history.DetectionR
 		return nil, Duplicate // nothing new: no WAL append, no event
 	}
 
-	wal := history.DetectionRecord{
+	out := &history.DetectionRecord{
 		Stream:     fusedStream,
 		TimeS:      fd.TimeS,
 		Family:     fd.Family,
@@ -284,19 +276,9 @@ func (l *FusedLedger) Ingest(node string, stream uint64, rec *history.DetectionR
 		Origin:     stream,
 		Evidence:   delta,
 	}
-	if err := l.store.AppendDetection(&wal); err != nil {
+	if err := l.wal.Detection(out); err != nil {
 		l.walErrs.Inc()
 		return nil, res
 	}
-	if l.broker != nil {
-		typ := "detection"
-		if wal.Merge {
-			typ = "detection-update"
-		}
-		pub := wal
-		l.broker.Publish(serving.Event{
-			Seq: wal.Seq, Type: typ, Stream: wal.Stream, Detection: &pub,
-		})
-	}
-	return &wal, res
+	return out, res
 }

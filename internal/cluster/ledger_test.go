@@ -9,7 +9,7 @@ import (
 
 	"rfdump/internal/history"
 	"rfdump/internal/metrics"
-	"rfdump/internal/server"
+	"rfdump/internal/serving"
 )
 
 // openLedger builds a FusedLedger over a disk store in dir.
@@ -96,8 +96,8 @@ func TestFusedLedgerDiskRecovery(t *testing.T) {
 	}
 
 	before := fusedByID(led.Fuser())
-	walBefore := dumpWAL(t, led.Store())
-	lastSeq := led.Store().LastSeq()
+	walBefore := dumpWAL(t, led.WAL().Store())
+	lastSeq := led.WAL().Store().LastSeq()
 	streams := led.Streams()
 	nearID := led.FusedStream("near", 1)
 	if err := led.Close(); err != nil {
@@ -108,7 +108,7 @@ func TestFusedLedgerDiskRecovery(t *testing.T) {
 	led2 := openLedger(t, dir, reg)
 	defer led2.Close()
 
-	if got := led2.Store().LastSeq(); got != lastSeq {
+	if got := led2.WAL().Store().LastSeq(); got != lastSeq {
 		t.Fatalf("seq epoch after recovery: %d, want %d", got, lastSeq)
 	}
 	if got := led2.Streams(); got != streams {
@@ -129,10 +129,10 @@ func TestFusedLedgerDiskRecovery(t *testing.T) {
 	if got := feed(led2); !reflect.DeepEqual(got, []IngestResult{Duplicate, Duplicate, Duplicate}) {
 		t.Fatalf("replay ingest results: %v, want all duplicates", got)
 	}
-	if got := dumpWAL(t, led2.Store()); !reflect.DeepEqual(got, walBefore) {
+	if got := dumpWAL(t, led2.WAL().Store()); !reflect.DeepEqual(got, walBefore) {
 		t.Fatalf("WAL changed across recovery + replay:\n got %+v\nwant %+v", got, walBefore)
 	}
-	if got := led2.Store().LastSeq(); got != lastSeq {
+	if got := led2.WAL().Store().LastSeq(); got != lastSeq {
 		t.Fatalf("replay advanced the seq epoch: %d, want %d", got, lastSeq)
 	}
 
@@ -241,7 +241,7 @@ func TestFusedLedgerTreeIdempotence(t *testing.T) {
 // restart replay.
 func TestBrokerTreeEndToEnd(t *testing.T) {
 	leaf := &fakeNode{}
-	leaf.set([]server.Event{detEvent(1, 1_000_000), detEvent(2, 5_000_000)})
+	leaf.set([]serving.Event{detEvent(1, 1_000_000), detEvent(2, 5_000_000)})
 	leafTS := httptest.NewServer(leaf.handler())
 	defer leafTS.Close()
 
@@ -285,18 +285,18 @@ func TestBrokerTreeEndToEnd(t *testing.T) {
 
 	// Leaf restarts and replays the same packets under fresh seqs: the
 	// mid tier dedups by content, so the root sees nothing at all.
-	midWAL := mid.Ledger().Store().LastSeq()
-	rootWAL := root.Ledger().Store().LastSeq()
-	leaf.set([]server.Event{detEvent(1, 1_000_000), detEvent(2, 5_000_000)})
+	midWAL := mid.Ledger().WAL().Store().LastSeq()
+	rootWAL := root.Ledger().WAL().Store().LastSeq()
+	leaf.set([]serving.Event{detEvent(1, 1_000_000), detEvent(2, 5_000_000)})
 	waitFor(t, "leaf replay consumed", func() bool {
 		return midReg.Counter("cluster/node_resets").Load() == 1 &&
 			midReg.Counter("cluster/events_received").Load() >= 5
 	})
 	time.Sleep(50 * time.Millisecond) // let any (wrong) propagation surface
-	if got := mid.Ledger().Store().LastSeq(); got != midWAL {
+	if got := mid.Ledger().WAL().Store().LastSeq(); got != midWAL {
 		t.Fatalf("leaf replay appended to the mid WAL: seq %d, want %d", got, midWAL)
 	}
-	if got := root.Ledger().Store().LastSeq(); got != rootWAL {
+	if got := root.Ledger().WAL().Store().LastSeq(); got != rootWAL {
 		t.Fatalf("leaf replay reached the root WAL: seq %d, want %d", got, rootWAL)
 	}
 	if got := root.Fuser().Len(); got != 2 {

@@ -13,7 +13,7 @@ import (
 
 	"rfdump/internal/history"
 	"rfdump/internal/metrics"
-	"rfdump/internal/server"
+	"rfdump/internal/serving"
 )
 
 // fakeNode mimics the two rfdumpd endpoints the manager speaks:
@@ -26,7 +26,7 @@ type fakeNode struct {
 	mu      sync.Mutex
 	epoch   int
 	lastSeq uint64
-	events  []server.Event
+	events  []serving.Event
 	lives   int
 }
 
@@ -53,7 +53,7 @@ func (n *fakeNode) handler() http.Handler {
 				n.mu.Unlock()
 				return // restarted: the old daemon's connections die
 			}
-			var pending []server.Event
+			var pending []serving.Event
 			for _, ev := range n.events {
 				if ev.Seq > cur {
 					pending = append(pending, ev)
@@ -78,7 +78,7 @@ func (n *fakeNode) handler() http.Handler {
 
 // set replaces the node's entire ledger — a restart installs a fresh
 // one whose seqs start over — and severs live connections.
-func (n *fakeNode) set(evs []server.Event) {
+func (n *fakeNode) set(evs []serving.Event) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.epoch++
@@ -89,7 +89,7 @@ func (n *fakeNode) set(evs []server.Event) {
 	}
 }
 
-func (n *fakeNode) extend(evs ...server.Event) {
+func (n *fakeNode) extend(evs ...serving.Event) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.events = append(n.events, evs...)
@@ -99,8 +99,8 @@ func (n *fakeNode) extend(evs ...server.Event) {
 // detEvent builds a detection event; the span identifies the
 // over-the-air packet, so re-streaming the same trace after a restart
 // reproduces the same spans under fresh seqs.
-func detEvent(seq uint64, start int64) server.Event {
-	return server.Event{
+func detEvent(seq uint64, start int64) serving.Event {
+	return serving.Event{
 		Seq: seq, Type: "detection", Stream: 1,
 		Detection: &history.DetectionRecord{
 			Seq: seq, Stream: 1, Family: "wifi", Detector: "timing",
@@ -132,7 +132,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestManagerSeamAcrossRestart(t *testing.T) {
 	node := &fakeNode{}
 	// Epoch 1: five detections on the air, seqs 1..5.
-	epoch1 := make([]server.Event, 0, 5)
+	epoch1 := make([]serving.Event, 0, 5)
 	for i := uint64(1); i <= 5; i++ {
 		epoch1 = append(epoch1, detEvent(i, int64(i)*1_000_000))
 	}
@@ -147,7 +147,7 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 	var cmu sync.Mutex
 	created, merged, dups := 0, 0, 0
 	m := NewManager(ManagerConfig{
-		OnEvent: func(n string, ev server.Event) {
+		OnEvent: func(n string, ev serving.Event) {
 			if ev.Detection == nil {
 				return
 			}
@@ -186,7 +186,7 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 	// Restart: the node comes back re-streaming the same trace. Its
 	// store holds the first three detections again — identical packets,
 	// fresh seqs 1..3 hiding behind the aggregator's stale cursor of 5.
-	node.set([]server.Event{
+	node.set([]serving.Event{
 		detEvent(1, 1_000_000), detEvent(2, 2_000_000), detEvent(3, 3_000_000),
 	})
 	waitFor(t, "restart detect + replay", func() bool {
@@ -231,7 +231,7 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 // disappears, and later node activity is never consumed.
 func TestManagerRemoveStopsConsuming(t *testing.T) {
 	node := &fakeNode{}
-	node.set([]server.Event{detEvent(1, 1_000_000)})
+	node.set([]serving.Event{detEvent(1, 1_000_000)})
 	ts := httptest.NewServer(node.handler())
 	defer ts.Close()
 
@@ -239,7 +239,7 @@ func TestManagerRemoveStopsConsuming(t *testing.T) {
 	var cmu sync.Mutex
 	seen := 0
 	m := NewManager(ManagerConfig{
-		OnEvent:    func(string, server.Event) { cmu.Lock(); seen++; cmu.Unlock() },
+		OnEvent:    func(string, serving.Event) { cmu.Lock(); seen++; cmu.Unlock() },
 		MinBackoff: time.Millisecond,
 		MaxBackoff: 5 * time.Millisecond,
 		Registry:   reg,

@@ -58,8 +58,8 @@ func (p Peak) String() string {
 }
 
 // PeakHistory is the shared "history window of recent peaks detected" the
-// chunk metadata points to. It wraps iq.HistoryRing with power metadata.
-// It is safe for concurrent use: the multi-threaded scheduler has the
+// chunk metadata points to: a fixed-capacity ring of peaks, newest
+// first on scan. It is safe for concurrent use: the multi-threaded scheduler has the
 // peak detector appending while protocol-specific detectors scan.
 type PeakHistory struct {
 	mu    sync.RWMutex

@@ -5,60 +5,6 @@ import (
 	"rfdump/internal/iq"
 )
 
-// SlidingWindow is a bounded-memory SampleAccessor for live monitoring:
-// it holds the most recent W samples of the stream. Detectors that probe
-// a peak's samples see them as long as the peak is younger than the
-// window — which the architecture guarantees for its own latency bounds
-// (the dispatcher flushes pending spans within MaxPending samples).
-//
-// Slices of evicted history come back clipped (possibly nil); detectors
-// already tolerate short probes, mirroring how a real deployment cannot
-// revisit RF that left its capture buffer.
-type SlidingWindow struct {
-	buf   iq.Samples // compacted storage; buf[0] is absolute tick base
-	base  iq.Tick
-	limit int // target retention in samples
-}
-
-// NewSlidingWindow returns a window retaining at least limit samples
-// (minimum four chunks).
-func NewSlidingWindow(limit int) *SlidingWindow {
-	if limit < 4*iq.ChunkSamples {
-		limit = 4 * iq.ChunkSamples
-	}
-	return &SlidingWindow{buf: make(iq.Samples, 0, 2*limit), limit: limit}
-}
-
-// Append adds the next block of the stream.
-func (w *SlidingWindow) Append(block iq.Samples) {
-	if len(w.buf)+len(block) > cap(w.buf) && len(w.buf) > w.limit {
-		// Compact: keep the newest limit samples.
-		drop := len(w.buf) - w.limit
-		copy(w.buf, w.buf[drop:])
-		w.buf = w.buf[:w.limit]
-		w.base += iq.Tick(drop)
-	}
-	w.buf = append(w.buf, block...)
-}
-
-// End returns the absolute tick one past the newest sample.
-func (w *SlidingWindow) End() iq.Tick { return w.base + iq.Tick(len(w.buf)) }
-
-// Slice implements SampleAccessor, clipping to retained history.
-func (w *SlidingWindow) Slice(iv iq.Interval) iq.Samples {
-	lo, hi := iv.Start, iv.End
-	if lo < w.base {
-		lo = w.base
-	}
-	if hi > w.End() {
-		hi = w.End()
-	}
-	if hi <= lo {
-		return nil
-	}
-	return w.buf[lo-w.base : hi-w.base]
-}
-
 // BlockReader is the minimal live-input contract (satisfied by
 // frontend.SampleSource): fill dst, return n read and io.EOF at end.
 type BlockReader interface {

@@ -26,49 +26,6 @@ func (r *sliceReader) ReadBlock(dst iq.Samples) (int, error) {
 	return n, nil
 }
 
-func TestSlidingWindowBasics(t *testing.T) {
-	w := NewSlidingWindow(1000)
-	block := make(iq.Samples, 500)
-	for i := range block {
-		block[i] = complex(float32(i), 0)
-	}
-	w.Append(block)
-	if w.End() != 500 {
-		t.Errorf("end %d", w.End())
-	}
-	got := w.Slice(iq.Interval{Start: 100, End: 110})
-	if len(got) != 10 || real(got[0]) != 100 {
-		t.Errorf("slice %v", got)
-	}
-}
-
-func TestSlidingWindowEviction(t *testing.T) {
-	w := NewSlidingWindow(1000)
-	for b := 0; b < 20; b++ {
-		block := make(iq.Samples, 500)
-		for i := range block {
-			block[i] = complex(float32(b*500+i), 0)
-		}
-		w.Append(block)
-	}
-	if w.End() != 10000 {
-		t.Fatalf("end %d", w.End())
-	}
-	// Old data evicted: a slice from tick 0 comes back clipped.
-	if got := w.Slice(iq.Interval{Start: 0, End: 100}); len(got) != 0 {
-		t.Errorf("evicted slice returned %d samples", len(got))
-	}
-	// Recent data intact and correctly addressed.
-	got := w.Slice(iq.Interval{Start: 9990, End: 10000})
-	if len(got) != 10 || real(got[0]) != 9990 {
-		t.Errorf("recent slice %v", got)
-	}
-	// Window retains at least limit samples.
-	if got := w.Slice(iq.Interval{Start: 9000, End: 10000}); len(got) != 1000 {
-		t.Errorf("retention %d", len(got))
-	}
-}
-
 func TestRunStreamMatchesRun(t *testing.T) {
 	stream := burstStream(200_000, 20, 51,
 		iq.Interval{Start: 20_000, End: 60_000},

@@ -8,10 +8,9 @@ import (
 )
 
 // BlockWindow is the streaming pipeline's sample store: a bounded deque
-// of retained pooled blocks standing in for the contiguous stream. It
-// replaces SlidingWindow on the zero-copy path — instead of copying every
-// block into one compacting buffer, the window retains the blocks
-// themselves and evicts (releases) the oldest once the retention target
+// of retained pooled blocks standing in for the contiguous stream.
+// Instead of copying every block into one compacting buffer, the window
+// retains the blocks themselves and evicts (releases) the oldest once the retention target
 // is exceeded, so a recycled buffer can never be read through the window.
 //
 // Slice clips to retained history like every accessor. A slice that falls
@@ -34,7 +33,7 @@ type BlockWindow struct {
 }
 
 // NewBlockWindow returns a window retaining at least limit samples
-// (minimum four chunks, like SlidingWindow).
+// (minimum four chunks).
 func NewBlockWindow(limit int) *BlockWindow {
 	if limit < 4*iq.ChunkSamples {
 		limit = 4 * iq.ChunkSamples
@@ -49,7 +48,7 @@ func NewBlockWindow(limit int) *BlockWindow {
 func (w *BlockWindow) AppendBlock(b *blocks.Block) {
 	if len(w.blks) == cap(w.blks) && w.head > len(w.blks)/2 {
 		// Compact the deque in place so steady-state appends stay
-		// allocation-free (mirrors SlidingWindow's buffer compaction).
+		// allocation-free.
 		n := copy(w.blks, w.blks[w.head:])
 		copy(w.starts, w.starts[w.head:])
 		w.blks = w.blks[:n]

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,52 +19,34 @@ import (
 	"rfdump/internal/iq"
 	"rfdump/internal/mac"
 	"rfdump/internal/protocols"
-	"rfdump/internal/server"
 	"rfdump/internal/serving"
 	"rfdump/internal/wire"
 )
 
 // BenchSchema identifies the machine-readable benchmark format written
-// by rfbench -json. Bump the suffix on incompatible changes. v6 adds
-// the broker-tree row (two chained fused ledgers, the mid tier's WAL
-// records re-fused at the root); v5 added the aggregation-tier row
-// (cross-sensor detection fusion over the sightings of two simulated
-// nodes); v4 added the sustained ingest-while-querying row (detection
-// streaming into the disk-backed history store under concurrent query
-// load); v3 added the scaling matrix (cores vs throughput for the
-// sharded demod stage); v2 added allocation accounting
-// (allocs_per_op/bytes_per_op). Older documents (without the newer
-// fields) still validate.
+// by rfbench -json. Documents are validated by one tolerant rule set:
+// any "rfdump-bench/" tag is accepted and whatever fields and rows a
+// document carries are checked, so the committed BENCH_*.json of
+// earlier revisions (fewer rows, no allocation counts, no scaling
+// matrix) keep validating unchanged.
 const BenchSchema = "rfdump-bench/v6"
-
-// BenchSchemaV5 through BenchSchemaV1 are the previous schema tags,
-// still accepted by Validate so committed historical BENCH_*.json
-// documents keep validating in CI.
-const (
-	BenchSchemaV5 = "rfdump-bench/v5"
-	BenchSchemaV4 = "rfdump-bench/v4"
-	BenchSchemaV3 = "rfdump-bench/v3"
-	BenchSchemaV2 = "rfdump-bench/v2"
-	BenchSchemaV1 = "rfdump-bench/v1"
-)
 
 // BenchRowIngestQuery is the Table 1 row name of the DVR contention
 // measurement: streaming detection appending every record to a segment
-// store while a client continuously pages the query API. Required at
-// schema v4+.
+// store while a client continuously pages the query API.
 const BenchRowIngestQuery = "Sustained ingest while querying (segment store)"
 
 // BenchRowFusedIngest is the Table 1 row name of the aggregation-tier
 // measurement: the real detections from the benchmark trace offered as
 // the overlapping sightings of two sensor nodes, fused and republished
-// on a live broker — the rfdumpc hot path. Required at schema v5+.
+// on a live broker — the rfdumpc hot path.
 const BenchRowFusedIngest = "Fused ingest (2-node aggregation)"
 
 // BenchRowTreeIngest is the Table 1 row name of the broker-tree
 // measurement: the same two-sensor sighting feed journaled through a
 // mid-tier fused ledger whose WAL records are re-fused by a root
 // ledger — one extra aggregation level, end to end, the way rfdumpc
-// stacks on rfdumpc. Required at schema v6.
+// stacks on rfdumpc.
 const BenchRowTreeIngest = "Tree ingest (2-level aggregation)"
 
 // BenchRecord is one measured row: a GNU-Radio-equivalent block
@@ -78,16 +61,16 @@ type BenchRecord struct {
 	// CPUPerRealTime is processing time over trace air time — the
 	// paper's efficiency metric (Table 1, Figure 9 y-axis).
 	CPUPerRealTime float64 `json:"cpu_per_real_time"`
-	// AllocsPerOp is heap allocations during one pass (schema v2; zero
-	// is the target for the steady-state streaming path).
+	// AllocsPerOp is heap allocations during one pass (zero is the
+	// target for the steady-state streaming path).
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	// BytesPerOp is heap bytes allocated during one pass (schema v2).
+	// BytesPerOp is heap bytes allocated during one pass.
 	BytesPerOp int64 `json:"bytes_per_op"`
 }
 
 // ScalingRecord is one row of the scaling matrix: the full detection +
 // sharded-demod pipeline over the benchmark trace at a fixed worker
-// count (schema v3).
+// count.
 type ScalingRecord struct {
 	// Workers is the demod worker count (1 = the inline single-threaded
 	// analysis chain, the speedup baseline).
@@ -118,21 +101,19 @@ type BenchReport struct {
 	Table1  []BenchRecord `json:"table1"`
 	Figure9 []BenchRecord `json:"figure9"`
 	// Scaling is the cores-vs-throughput matrix for the sharded analysis
-	// stage (schema v3; absent in older documents).
+	// stage (absent in the oldest documents).
 	Scaling []ScalingRecord `json:"scaling,omitempty"`
 }
 
-// Validate checks the structural invariants CI relies on: schema tag,
-// build stamps, non-empty matrices, and strictly positive measurements.
+// Validate checks the structural invariants CI relies on: schema tag
+// family, build stamps, non-empty matrices, strictly positive
+// measurements, and a well-formed scaling matrix when one is present.
 func (r *BenchReport) Validate() error {
 	if r == nil {
 		return fmt.Errorf("bench: nil report")
 	}
-	switch r.Schema {
-	case BenchSchema, BenchSchemaV5, BenchSchemaV4, BenchSchemaV3, BenchSchemaV2, BenchSchemaV1:
-	default:
-		return fmt.Errorf("bench: schema %q, want %q (or legacy %q, %q, %q, %q, %q)",
-			r.Schema, BenchSchema, BenchSchemaV5, BenchSchemaV4, BenchSchemaV3, BenchSchemaV2, BenchSchemaV1)
+	if !strings.HasPrefix(r.Schema, "rfdump-bench/") {
+		return fmt.Errorf("bench: schema %q, want %q (or an earlier rfdump-bench/ tag)", r.Schema, BenchSchema)
 	}
 	if r.Revision == "" || r.GoVersion == "" || r.GOOS == "" || r.GOARCH == "" {
 		return fmt.Errorf("bench: missing build stamp (revision/go/goos/goarch)")
@@ -156,7 +137,7 @@ func (r *BenchReport) Validate() error {
 			if rec.NsPerOp <= 0 || rec.MBPerS <= 0 || rec.CPUPerRealTime <= 0 {
 				return fmt.Errorf("bench: %s[%q]: non-positive measurement %+v", matrix, rec.Name, rec)
 			}
-			// v2 allocation fields: zero is the goal, negative is corrupt.
+			// Allocation counts: zero is the goal, negative is corrupt.
 			if rec.AllocsPerOp < 0 || rec.BytesPerOp < 0 {
 				return fmt.Errorf("bench: %s[%q]: negative allocation count %+v", matrix, rec.Name, rec)
 			}
@@ -168,34 +149,6 @@ func (r *BenchReport) Validate() error {
 	}
 	if err := check("figure9", r.Figure9); err != nil {
 		return err
-	}
-	if r.Schema == BenchSchema || r.Schema == BenchSchemaV5 || r.Schema == BenchSchemaV4 || r.Schema == BenchSchemaV3 {
-		if len(r.Scaling) == 0 {
-			return fmt.Errorf("bench: schema %s document without a scaling matrix", r.Schema)
-		}
-	}
-	requireRow := func(name string) error {
-		for _, rec := range r.Table1 {
-			if rec.Name == name {
-				return nil
-			}
-		}
-		return fmt.Errorf("bench: schema %s document without the %q table1 row", r.Schema, name)
-	}
-	if r.Schema == BenchSchema || r.Schema == BenchSchemaV5 || r.Schema == BenchSchemaV4 {
-		if err := requireRow(BenchRowIngestQuery); err != nil {
-			return err
-		}
-	}
-	if r.Schema == BenchSchema || r.Schema == BenchSchemaV5 {
-		if err := requireRow(BenchRowFusedIngest); err != nil {
-			return err
-		}
-	}
-	if r.Schema == BenchSchema {
-		if err := requireRow(BenchRowTreeIngest); err != nil {
-			return err
-		}
 	}
 	for i, rec := range r.Scaling {
 		if rec.Workers <= 0 {
@@ -512,13 +465,13 @@ func BenchJSON(o Options) (*BenchReport, error) {
 		}},
 		{BenchRowFusedIngest, func() error {
 			fuser := cluster.NewFuser(cluster.MatchConfig{}, nil)
-			broker := server.NewBroker(256, -1, nil)
-			subs := make([]*server.Subscriber, 2)
+			broker := serving.NewBroker(256, -1, nil)
+			subs := make([]*serving.Subscriber, 2)
 			var drained sync.WaitGroup
 			for i := range subs {
 				subs[i] = broker.Subscribe()
 				drained.Add(1)
-				go func(sub *server.Subscriber) {
+				go func(sub *serving.Subscriber) {
 					defer drained.Done()
 					for range sub.Events() {
 					}
@@ -535,7 +488,7 @@ func BenchJSON(o Options) (*BenchReport, error) {
 				if res == cluster.Merged {
 					typ = "detection-update"
 				}
-				broker.Publish(server.Event{Seq: fd.Seq, Type: typ, Stream: 1, Detection: &s.rec})
+				broker.Publish(serving.Event{Seq: fd.Seq, Type: typ, Stream: 1, Detection: &s.rec})
 				if res == cluster.Created {
 					created++
 				}

@@ -3,15 +3,16 @@
 // ether — detection verdicts, decoded packets, waterfall tiles, and the
 // raw IQ bursts behind detections. The paper's architecture banks on
 // keeping cheap per-packet state around so analysts can drill into the
-// spectrum after the fact; this package turns that from three in-memory
-// rings into a storage capability with two implementations: a bounded
-// in-memory store (the old rings, now behind the interface) and an
-// append-only segment-file engine that survives restarts.
+// spectrum after the fact; this package is that storage capability,
+// with two implementations: a bounded in-memory store (fixed-capacity
+// overwrite-oldest rings per record type) and an append-only
+// segment-file engine that survives restarts.
 //
-// Records are totally ordered by a store-wide sequence number. The hub
-// owns one allocator for live event sequencing and stamps records before
-// appending; a store opened standalone (tests, offline tools) assigns
-// sequences itself when a record arrives with Seq == 0. Queries paginate
+// Records are totally ordered by a store-wide sequence number. Both
+// tiers write through serving.Ledger, which owns the allocator for live
+// event sequencing and stamps records before appending; a store used
+// standalone (tests, offline tools) assigns sequences itself when a
+// record arrives with Seq == 0. Queries paginate
 // by cursor: a page is "records with Seq > cursor, ascending", so a
 // dashboard can walk history without ever seeing a record twice, even
 // while retention evicts from below.
@@ -250,6 +251,22 @@ func (q Query) matchStream(stream uint64) bool {
 	return q.Stream == 0 || stream == q.Stream
 }
 
+// Walk pages one of a store's Query* methods from cursor (exclusive)
+// in sequence order, handing each page to visit, until the store
+// reports no more or visit returns false.
+func Walk[T any](query func(Query) ([]T, uint64, bool, error), cursor uint64, visit func([]T) bool) error {
+	for {
+		recs, next, more, err := query(Query{Cursor: cursor})
+		if err != nil {
+			return err
+		}
+		if !visit(recs) || !more {
+			return nil
+		}
+		cursor = next
+	}
+}
+
 // Stats is a store's retention snapshot, served by /api/history and
 // mirrored into gauges.
 type Stats struct {
@@ -282,11 +299,11 @@ type Stats struct {
 
 // Store is the spectrum DVR contract. Append methods stamp rec.Seq when
 // it arrives as 0 (standalone use); a caller that owns its own sequence
-// allocator (the hub) stamps records itself, and stores must accept any
-// strictly increasing sequence. Appends run on pipeline callback
-// goroutines and must not block on queries; queries run on API
-// goroutines concurrently with appends. AppendSnippet must not retain
-// s.IQ after returning — the capture path reuses the buffer.
+// allocator (serving.Ledger) stamps records itself, and stores must
+// accept any strictly increasing sequence. Appends run on pipeline
+// callback goroutines and must not block on queries; queries run on
+// API goroutines concurrently with appends. AppendSnippet must not
+// retain s.IQ after returning — the capture path reuses the buffer.
 type Store interface {
 	AppendDetection(rec *DetectionRecord) error
 	AppendPacket(ev *PacketEvent) error
@@ -294,9 +311,9 @@ type Store interface {
 	AppendSnippet(s *Snippet) error
 
 	// RecentDetections/RecentPackets return the newest limit records
-	// (oldest first), optionally filtered to one stream — the legacy
-	// ring-snapshot semantics behind /api/detections and /api/packets.
-	// limit <= 0 takes the store's recent-scan bound.
+	// (oldest first), optionally filtered to one stream — what rfdumpd's
+	// /api/detections and /api/packets serve. limit <= 0 takes the
+	// store's recent-scan bound.
 	RecentDetections(stream uint64, limit int) []DetectionRecord
 	RecentPackets(stream uint64, limit int) []PacketEvent
 
@@ -309,7 +326,7 @@ type Store interface {
 	Snippet(stream, detection uint64) (*Snippet, error)
 
 	// LastSeq returns the newest sequence number the store has seen —
-	// what a restarting hub seeds its allocator from.
+	// what a restarting ledger seeds its allocator from.
 	LastSeq() uint64
 	Stats() Stats
 	Close() error

@@ -27,9 +27,9 @@ type MemoryConfig struct {
 	Registry *metrics.Registry
 }
 
-// Memory is the bounded in-memory Store: the daemon's original
-// overwrite-oldest rings, now behind the interface. It is the default —
-// zero configuration, no disk, history dies with the process.
+// Memory is the bounded in-memory Store: one overwrite-oldest ring per
+// record type. It is the default — zero configuration, no disk, history
+// dies with the process.
 type Memory struct {
 	mu         sync.Mutex
 	detections seqRing[DetectionRecord]

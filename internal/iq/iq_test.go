@@ -352,48 +352,3 @@ func TestTotalLen(t *testing.T) {
 		t.Error("TotalLen")
 	}
 }
-
-func TestHistoryRing(t *testing.T) {
-	h := NewHistoryRing(3)
-	if h.Len() != 0 {
-		t.Error("fresh ring non-empty")
-	}
-	if _, ok := h.Newest(); ok {
-		t.Error("fresh Newest ok")
-	}
-	for i := 0; i < 5; i++ {
-		h.Append(Interval{Tick(i), Tick(i + 1)})
-	}
-	if h.Len() != 3 || h.Total() != 5 || h.Cap() != 3 {
-		t.Errorf("len=%d total=%d cap=%d", h.Len(), h.Total(), h.Cap())
-	}
-	if got := h.At(0); got.Start != 4 {
-		t.Errorf("newest = %v", got)
-	}
-	if got := h.At(2); got.Start != 2 {
-		t.Errorf("oldest = %v", got)
-	}
-	snap := h.Snapshot()
-	if len(snap) != 3 || snap[0].Start != 2 || snap[2].Start != 4 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	visited := 0
-	h.ScanBack(func(iv Interval) bool {
-		visited++
-		return iv.Start != 3
-	})
-	if visited != 2 {
-		t.Errorf("ScanBack visited %d", visited)
-	}
-}
-
-func TestHistoryRingPanics(t *testing.T) {
-	h := NewHistoryRing(2)
-	h.Append(Interval{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Error("At out of range did not panic")
-		}
-	}()
-	h.At(1)
-}

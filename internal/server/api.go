@@ -14,8 +14,10 @@ import (
 // routes:
 //
 //	GET /api/streams     — every ingest stream with wire + pipeline counters
-//	GET /api/detections  — recent fast-detector verdicts (?stream=, ?limit=)
-//	GET /api/packets     — recent decoded packets, trace.PacketRecord schema
+//	GET /api/detections  — recent fast-detector verdicts (?stream=, ?limit=);
+//	                       under the per-host query quota
+//	GET /api/packets     — recent decoded packets, trace.PacketRecord
+//	                       schema; same quota
 //	GET /api/waterfall   — spectrogram of a stream's recent samples
 //	GET /api/protocols   — the protocol module registry: every registered
 //	                       module with its detectors and capabilities
@@ -45,23 +47,20 @@ import (
 func (d *Daemon) APIHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/streams", d.handleStreams)
-	mux.HandleFunc("/api/detections", d.handleDetections)
-	mux.HandleFunc("/api/packets", d.handlePackets)
+	mux.HandleFunc("/api/detections", d.quota.Limit(recentHandler("detections", d.hub.Detections)))
+	mux.HandleFunc("/api/packets", d.quota.Limit(recentHandler("packets", d.hub.Packets)))
 	mux.HandleFunc("/api/waterfall", d.handleWaterfall)
 	mux.HandleFunc("/api/protocols", d.handleProtocols)
 	d.core().Register(mux)
 	return mux
 }
 
-// core assembles the shared serving surface over the daemon's broker
-// and history store. The node's ledger IS its store: live events are
-// published under store sequence numbers, so the SSE catch-up replay
-// and the live tail meet without duplicates.
+// core assembles the shared serving surface over the hub's ledger: live
+// events are published under store sequence numbers, so the SSE
+// catch-up replay and the live tail meet without duplicates.
 func (d *Daemon) core() *serving.Core {
 	return &serving.Core{
-		Broker:      d.hub.broker,
-		Ledger:      serving.StoreLedger{Store: d.hub.store},
-		Store:       d.hub.store,
+		Ledger:      d.hub.ledger,
 		Quota:       d.quota,
 		Registry:    d.reg,
 		Refresh:     d.refreshGauges,
@@ -173,32 +172,22 @@ func (d *Daemon) handleStreams(w http.ResponseWriter, r *http.Request) {
 	serving.WriteJSON(w, map[string]any{"streams": d.hub.Streams()})
 }
 
-func (d *Daemon) handleDetections(w http.ResponseWriter, r *http.Request) {
-	stream, err := serving.QueryUint(r, "stream")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+// recentHandler serves the newest records of one type (?stream=,
+// ?limit=), oldest first.
+func recentHandler[T any](field string, recent func(stream uint64, limit int) []T) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		stream, err := serving.QueryUint(r, "stream")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		limit, err := serving.QueryUint(r, "limit")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		serving.WriteJSON(w, map[string]any{field: recent(stream, int(limit))})
 	}
-	limit, err := serving.QueryUint(r, "limit")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	serving.WriteJSON(w, map[string]any{"detections": d.hub.Detections(stream, int(limit))})
-}
-
-func (d *Daemon) handlePackets(w http.ResponseWriter, r *http.Request) {
-	stream, err := serving.QueryUint(r, "stream")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	limit, err := serving.QueryUint(r, "limit")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	serving.WriteJSON(w, map[string]any{"packets": d.hub.Packets(stream, int(limit))})
 }
 
 // waterfallResponse is the JSON shape of /api/waterfall.

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"rfdump/internal/history"
 	"rfdump/internal/metrics"
 	"rfdump/internal/serving/conformance"
 )
@@ -20,7 +21,7 @@ func TestServingConformance(t *testing.T) {
 	streamTrace(t, ln, ts, res, 1)
 
 	var recent struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, ts.URL+"/api/detections", &recent)
 	if len(recent.Detections) == 0 {

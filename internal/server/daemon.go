@@ -1,3 +1,14 @@
+// Package server is the live-monitoring daemon over the streaming
+// pipeline: it aggregates the detections, decoded packets and stream
+// health of every ingest connection into one queryable surface — REST
+// endpoints for state, a server-sent-events feed for the live tail.
+// This is the "tcpdump for the wireless ether" as a service: rfdumpd
+// listens where hcidump/tcpdump would read an interface, and any number
+// of observers watch without touching the sample path.
+//
+// The record path (serving.Ledger) and the shared HTTP/SSE surface
+// (serving.Core) live in internal/serving, because the aggregation tier
+// (internal/cluster) runs on the identical ones.
 package server
 
 import (
@@ -46,14 +57,12 @@ type Options struct {
 	// transient-error retries (as rfdump -faults/-retries).
 	Faults  string
 	Retries int
-	// Store, when set, persists detections, packets, waterfall tiles and
-	// captured IQ snippets (the spectrum DVR). Nil with an empty StoreDir
-	// keeps history in memory, bounded by the ring sizes below — the
-	// legacy behavior. The daemon owns the store and closes it in Close.
-	Store history.Store
-	// StoreDir, when non-empty (and Store is nil), opens the disk-backed
-	// segment store there; StoreMaxBytes / StoreMaxAge bound its
-	// retention (zero takes the engine defaults).
+	// StoreDir, when non-empty, persists detections, packets, waterfall
+	// tiles and captured IQ snippets (the spectrum DVR) in the
+	// disk-backed segment store there; StoreMaxBytes / StoreMaxAge bound
+	// its retention (zero takes the engine defaults). Empty keeps history
+	// in a bounded in-memory store (history.NewMemory's defaults). The
+	// daemon owns the store and closes it in Close.
 	StoreDir      string
 	StoreMaxBytes int64
 	StoreMaxAge   time.Duration
@@ -68,14 +77,13 @@ type Options struct {
 	// TileBins the number of power bins per tile (default 64).
 	TileSamples int
 	TileBins    int
-	// QueryRPS / QueryBurst rate-limit the history query endpoints per
-	// client host (token bucket; defaults 20 rps, burst 40; negative RPS
-	// disables). The legacy endpoints are exempt.
+	// QueryRPS / QueryBurst rate-limit every store-backed read per client
+	// host (token bucket; defaults 20 rps, burst 40; negative RPS
+	// disables).
 	QueryRPS   float64
 	QueryBurst int
-	// Hub sizing (see HubConfig); zero values take defaults.
-	DetectionRing   int
-	PacketRing      int
+	// SubscriberQueue bounds each live-feed subscriber (see HubConfig;
+	// zero takes the default).
 	SubscriberQueue int
 	// EvictAfter is the consecutive-drop budget before a slow SSE
 	// subscriber is evicted (0 takes the hub default of 4× the queue;
@@ -141,39 +149,34 @@ func NewDaemon(opt Options) (*Daemon, error) {
 	if opt.TileBins <= 0 {
 		opt.TileBins = 64
 	}
-	store := opt.Store
-	if store == nil && opt.StoreDir != "" {
-		var err error
+	var (
+		store history.Store
+		err   error
+	)
+	if opt.StoreDir != "" {
 		store, err = history.OpenDisk(history.DiskConfig{
 			Dir:      opt.StoreDir,
 			MaxBytes: opt.StoreMaxBytes,
 			MaxAge:   opt.StoreMaxAge,
 			Registry: opt.Registry,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("server: history store: %w", err)
-		}
+	} else {
+		store, err = history.NewMemory(history.MemoryConfig{Registry: opt.Registry})
 	}
-	hub, err := NewHub(HubConfig{
-		Clock:           opt.Engine.Clock(),
-		Store:           store,
-		DetectionRing:   opt.DetectionRing,
-		PacketRing:      opt.PacketRing,
-		SubscriberQueue: opt.SubscriberQueue,
-		EvictAfter:      opt.EvictAfter,
-		Registry:        opt.Registry,
-	})
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
+		return nil, fmt.Errorf("server: history store: %w", err)
 	}
 	d := &Daemon{
-		opt:      opt,
-		clock:    opt.Engine.Clock(),
-		reg:      opt.Registry,
-		hub:      hub,
+		opt:   opt,
+		clock: opt.Engine.Clock(),
+		reg:   opt.Registry,
+		hub: NewHub(HubConfig{
+			Clock:           opt.Engine.Clock(),
+			Store:           store,
+			SubscriberQueue: opt.SubscriberQueue,
+			EvictAfter:      opt.EvictAfter,
+			Registry:        opt.Registry,
+		}),
 		quota:    serving.NewQuota(opt.QueryRPS, opt.QueryBurst, opt.Registry),
 		conns:    opt.Registry.Counter("server/ingest/connections"),
 		rejected: opt.Registry.Counter("server/ingest/rejected"),
@@ -182,6 +185,7 @@ func NewDaemon(opt Options) (*Daemon, error) {
 	if opt.Faults != "" {
 		cfg, err := faults.ParseSpec(opt.Faults)
 		if err != nil {
+			_ = store.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		d.faultCfg = &cfg
@@ -218,10 +222,6 @@ func (d *Daemon) Close() {
 	_ = d.hub.Close()
 }
 
-// WireServer returns the ingest listener host (Serve/Drain/Close live
-// there; the daemon wraps the lifecycle ones it needs).
-func (d *Daemon) WireServer() *wire.Server { return d.wire }
-
 // logf forwards to Options.Logf when set.
 func (d *Daemon) logf(format string, args ...any) {
 	if d.opt.Logf != nil {
@@ -237,7 +237,7 @@ func (d *Daemon) refreshGauges() {
 	d.reg.Gauge("blocks/pool/news").Set(st.News)
 	d.reg.Gauge("blocks/pool/puts").Set(st.Puts)
 	d.reg.Gauge("blocks/pool/live").Set(st.Live)
-	hs := d.hub.store.Stats()
+	hs := d.hub.ledger.Stats()
 	d.reg.Gauge("history/last_seq").Set(int64(hs.LastSeq))
 	d.reg.Gauge("history/detections").Set(hs.Detections)
 	d.reg.Gauge("history/packets").Set(hs.Packets)
@@ -245,8 +245,8 @@ func (d *Daemon) refreshGauges() {
 	d.reg.Gauge("history/snippets").Set(hs.Snippets)
 	d.reg.Gauge("history/bytes").Set(hs.Bytes)
 	d.reg.Gauge("history/segments").Set(int64(hs.Segments))
-	// The configured ring capacities, surfaced so operators can see the
-	// bound their /api history queries run against (0 = not count-bound,
+	// The memory store's record capacities, surfaced so operators can see
+	// the bound their history queries run against (0 = not count-bound,
 	// i.e. the segment store).
 	d.reg.Gauge("history/detection_cap").Set(int64(hs.DetectionCap))
 	d.reg.Gauge("history/packet_cap").Set(int64(hs.PacketCap))

@@ -20,6 +20,7 @@ import (
 	"rfdump/internal/iq"
 	"rfdump/internal/metrics"
 	_ "rfdump/internal/protocols/builtin"
+	"rfdump/internal/serving"
 	"rfdump/internal/wire"
 )
 
@@ -42,9 +43,9 @@ func streamTrace(t *testing.T, ln net.Listener, ts *httptest.Server, res *ether.
 
 // detPage is the envelope of /api/streams/{id}/detections.
 type detPage struct {
-	Detections []DetectionRecord `json:"detections"`
-	Next       uint64            `json:"next_cursor"`
-	More       bool              `json:"more"`
+	Detections []history.DetectionRecord `json:"detections"`
+	Next       uint64                    `json:"next_cursor"`
+	More       bool                      `json:"more"`
 }
 
 // TestHistoryQueryAPI drives the cursor-paginated query surface end to
@@ -57,7 +58,7 @@ func TestHistoryQueryAPI(t *testing.T) {
 	streamTrace(t, ln, ts, res, 7)
 
 	var recent struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, ts.URL+"/api/detections", &recent)
 	if len(recent.Detections) == 0 {
@@ -67,7 +68,7 @@ func TestHistoryQueryAPI(t *testing.T) {
 	// Page with a small limit; the walk must visit every record exactly
 	// once, in strictly increasing sequence order.
 	var (
-		walked []DetectionRecord
+		walked []history.DetectionRecord
 		cursor uint64
 	)
 	for {
@@ -127,8 +128,8 @@ func TestHistoryQueryAPI(t *testing.T) {
 
 	// Packets paginate through the same surface.
 	var pkts struct {
-		Packets []PacketEvent `json:"packets"`
-		More    bool          `json:"more"`
+		Packets []history.PacketEvent `json:"packets"`
+		More    bool                  `json:"more"`
 	}
 	getJSON(t, ts.URL+"/api/streams/0/packets?limit=100", &pkts)
 	if len(pkts.Packets) == 0 {
@@ -165,9 +166,10 @@ func TestHistoryQueryAPI(t *testing.T) {
 	}
 }
 
-// TestHistoryQueryQuota: the new query endpoints are token-bucket
-// limited per host (429 + Retry-After past the burst), while the legacy
-// surface the tooling polls stays unthrottled.
+// TestHistoryQueryQuota: every store-backed read — the paged DVR
+// routes and /api/detections alike — is token-bucket limited per host
+// (429 + Retry-After past the burst), while the routes that never touch
+// the store stay unthrottled.
 func TestHistoryQueryQuota(t *testing.T) {
 	res := testTrace(t)
 	reg := metrics.NewRegistry()
@@ -198,7 +200,22 @@ func TestHistoryQueryQuota(t *testing.T) {
 	if reg.Counter("server/api/throttled").Load() == 0 {
 		t.Error("throttling not counted")
 	}
-	// The legacy endpoints never pay the quota.
+	// One rule: the recent-records reads draw on the same bucket.
+	throttled = 0
+	for i := 0; i < 30; i++ {
+		resp, err := http.Get(ts.URL + "/api/detections")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests {
+			throttled++
+		}
+	}
+	if throttled == 0 {
+		t.Error("30 rapid /api/detections reads never throttled")
+	}
+	// Routes that read no store never pay the quota.
 	for i := 0; i < 30; i++ {
 		resp, err := http.Get(ts.URL + "/api/streams")
 		if err != nil {
@@ -206,24 +223,24 @@ func TestHistoryQueryQuota(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("legacy endpoint throttled: %d", resp.StatusCode)
+			t.Fatalf("/api/streams throttled: %d", resp.StatusCode)
 		}
 	}
 }
 
 // readSSE collects SSE events from body until want events arrived or
 // the deadline passed.
-func readSSE(t *testing.T, body *bufio.Scanner, want int, deadline time.Duration) []Event {
+func readSSE(t *testing.T, body *bufio.Scanner, want int, deadline time.Duration) []serving.Event {
 	t.Helper()
-	done := make(chan []Event, 1)
+	done := make(chan []serving.Event, 1)
 	go func() {
-		var out []Event
+		var out []serving.Event
 		for body.Scan() {
 			line := body.Text()
 			if !strings.HasPrefix(line, "data: ") {
 				continue
 			}
-			var ev Event
+			var ev serving.Event
 			if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
 				continue
 			}
@@ -253,10 +270,10 @@ func TestSSECatchUp(t *testing.T) {
 	streamTrace(t, ln, ts, res, 7)
 
 	var recent struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	var pkts struct {
-		Packets []PacketEvent `json:"packets"`
+		Packets []history.PacketEvent `json:"packets"`
 	}
 	getJSON(t, ts.URL+"/api/detections", &recent)
 	getJSON(t, ts.URL+"/api/packets", &pkts)
@@ -361,7 +378,7 @@ func TestDaemonDiskStoreSurvivesRestart(t *testing.T) {
 		t.Fatal("no detections recorded")
 	}
 	var livePkts struct {
-		Packets []PacketEvent `json:"packets"`
+		Packets []history.PacketEvent `json:"packets"`
 	}
 	getJSON(t, ts1.URL+"/api/packets", &livePkts)
 	if len(livePkts.Packets) == 0 {
@@ -458,15 +475,7 @@ func TestDaemonDiskStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestNewHubRejectsNegativeRings is the satellite guard: a negative
-// ring size errors instead of silently defaulting.
-func TestNewHubRejectsNegativeRings(t *testing.T) {
-	if _, err := NewHub(HubConfig{DetectionRing: -1}); err == nil {
-		t.Error("negative DetectionRing accepted")
-	}
-	if _, err := NewHub(HubConfig{PacketRing: -1}); err == nil {
-		t.Error("negative PacketRing accepted")
-	}
+func TestNewDaemonRequiresEngine(t *testing.T) {
 	if _, err := NewDaemon(Options{}); err == nil {
 		t.Error("NewDaemon without engine accepted")
 	}

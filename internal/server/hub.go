@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,20 +10,20 @@ import (
 	"rfdump/internal/history"
 	"rfdump/internal/iq"
 	"rfdump/internal/metrics"
+	"rfdump/internal/serving"
 	"rfdump/internal/trace"
 	"rfdump/internal/wire"
 )
 
-// Hub is the daemon's shared state: the registry of ingest streams, the
-// history store the REST API reads, and the broker the live feed
-// publishes through. All mutating entry points are called from pipeline
-// callbacks on session goroutines, so everything is guarded by the hub
-// mutex, atomic, or delegated to the (concurrency-safe) store.
+// Hub is the daemon's shared state: the registry of ingest streams and
+// the ledger every record and lifecycle event is written through (store,
+// live-feed broker and sequence allocator in one). All mutating entry
+// points are called from pipeline callbacks on session goroutines, so
+// everything is guarded by the hub mutex, atomic, or delegated to the
+// (concurrency-safe) ledger.
 type Hub struct {
 	clock  iq.Clock
-	broker *Broker
-	store  history.Store
-	seq    atomic.Uint64 // event + record sequence allocator
+	ledger *serving.Ledger
 
 	mu      sync.Mutex
 	streams map[uint64]*Stream
@@ -45,16 +44,9 @@ type Hub struct {
 type HubConfig struct {
 	// Clock converts sample spans to seconds in records.
 	Clock iq.Clock
-	// Store persists detections, packets, tiles and IQ snippets. Nil
-	// builds the default bounded in-memory store sized by DetectionRing
-	// and PacketRing (the legacy rings, behind the history.Store
-	// interface). The hub owns the store and closes it in Close.
+	// Store persists detections, packets, tiles and IQ snippets
+	// (required). The hub owns the store and closes it in Close.
 	Store history.Store
-	// DetectionRing / PacketRing bound the default in-memory history
-	// (defaults 4096 and 2048; negative is rejected; ignored when Store
-	// is set).
-	DetectionRing int
-	PacketRing    int
 	// SubscriberQueue bounds each live-feed subscriber (default 256);
 	// EvictAfter is the consecutive-drop budget before a subscriber is
 	// evicted (default 4× the queue; negative disables).
@@ -64,45 +56,18 @@ type HubConfig struct {
 	Registry *metrics.Registry
 }
 
-// NewHub builds the hub and its broker. A negative ring size is a
-// configuration bug and is rejected loudly rather than silently
-// defaulted.
-func NewHub(cfg HubConfig) (*Hub, error) {
-	if cfg.DetectionRing < 0 || cfg.PacketRing < 0 {
-		return nil, fmt.Errorf("server: negative history ring size (detections %d, packets %d)",
-			cfg.DetectionRing, cfg.PacketRing)
-	}
-	if cfg.DetectionRing == 0 {
-		cfg.DetectionRing = 4096
-	}
-	if cfg.PacketRing == 0 {
-		cfg.PacketRing = 2048
-	}
+// NewHub builds the hub, its broker and the ledger over them.
+func NewHub(cfg HubConfig) *Hub {
 	if cfg.SubscriberQueue <= 0 {
 		cfg.SubscriberQueue = 256
 	}
 	if cfg.EvictAfter == 0 {
 		cfg.EvictAfter = 4 * cfg.SubscriberQueue
 	}
-	if cfg.EvictAfter < 0 {
-		cfg.EvictAfter = 0
-	}
-	store := cfg.Store
-	if store == nil {
-		var err error
-		store, err = history.NewMemory(history.MemoryConfig{
-			DetectionCap: cfg.DetectionRing,
-			PacketCap:    cfg.PacketRing,
-			Registry:     cfg.Registry,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-	}
-	h := &Hub{
+	broker := serving.NewBroker(cfg.SubscriberQueue, cfg.EvictAfter, cfg.Registry)
+	return &Hub{
 		clock:      cfg.Clock,
-		broker:     NewBroker(cfg.SubscriberQueue, cfg.EvictAfter, cfg.Registry),
-		store:      store,
+		ledger:     serving.NewLedger(cfg.Store, broker),
 		streams:    make(map[uint64]*Stream),
 		detCount:   cfg.Registry.Counter("server/detections"),
 		pktCount:   cfg.Registry.Counter("server/packets"),
@@ -113,27 +78,15 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 		gapSamples: cfg.Registry.Counter("wire/gap_samples"),
 		storeErrs:  cfg.Registry.Counter("server/history/errors"),
 	}
-	// Seed the event allocator past everything the store already holds,
-	// so a daemon restarting over a disk store keeps sequence numbers
-	// strictly increasing across its whole history.
-	h.seq.Store(store.LastSeq())
-	return h, nil
 }
 
 // Broker returns the live-feed broker (Subscribe/Unsubscribe).
-func (h *Hub) Broker() *Broker { return h.broker }
-
-// Store returns the hub's history store (the query API reads it
-// directly).
-func (h *Hub) Store() history.Store { return h.store }
+func (h *Hub) Broker() *serving.Broker { return h.ledger.Broker() }
 
 // Close releases the history store (segment stores flush and close
-// their files). The hub stays usable for stream accounting; appends to
-// the store after Close fail and are counted, not fatal.
-func (h *Hub) Close() error { return h.store.Close() }
-
-// Clock returns the hub's sample clock.
-func (h *Hub) Clock() iq.Clock { return h.clock }
+// their files). The hub stays usable for stream accounting; ledger
+// writes after Close fail and are counted, not fatal.
+func (h *Hub) Close() error { return h.ledger.Close() }
 
 // epoch is one ingest connection's tenure on a stream. A stream that
 // never loses its link has exactly one; a reconnecting transmitter
@@ -226,7 +179,11 @@ type EpochInfo struct {
 
 // StreamInfo is the JSON shape of one stream in /api/streams. Wire
 // aggregates the decoder counters across every epoch; Session, Active,
-// Error and Degraded describe the newest epoch.
+// Error and Degraded describe the newest epoch. Done is what a client
+// waiting for the end of a stream keys on: every epoch has ended, which
+// happens-after the stream's last record is visible to every query
+// surface. (Active is false before the session starts as well as after
+// it ends.)
 type StreamInfo struct {
 	ID         uint64          `json:"id"`
 	Session    uint64          `json:"session,omitempty"`
@@ -234,6 +191,7 @@ type StreamInfo struct {
 	Meta       wire.StreamMeta `json:"meta"`
 	StartedS   float64         `json:"uptime_s"`
 	Active     bool            `json:"active"`
+	Done       bool            `json:"done"`
 	Error      string          `json:"error,omitempty"`
 	Degraded   string          `json:"degraded,omitempty"`
 	Wire       wire.Counts     `json:"wire"`
@@ -264,6 +222,7 @@ func (s *Stream) info(now time.Time) StreamInfo {
 		StartedS:   now.Sub(s.started).Seconds(),
 		Detections: s.detections.Load(),
 		Packets:    s.packets.Load(),
+		Done:       s.doneLocked(),
 	}
 	if n := len(s.epochs); n > 0 {
 		last := s.epochs[n-1]
@@ -492,7 +451,7 @@ func (h *Hub) Attach(spec AttachSpec) (*Stream, *epoch) {
 		h.reconnects.Inc()
 		h.gapFrames.Add(gapF)
 		h.gapSamples.Add(gapS)
-		h.broker.Publish(Event{Seq: h.seq.Add(1), Type: "stream-resume", Stream: st.id, Epoch: ep.num})
+		h.ledger.Announce(serving.Event{Type: "stream-resume", Stream: st.id, Epoch: ep.num})
 	}
 	if superseded != nil {
 		// The previous connection is still live from the daemon's point
@@ -543,7 +502,7 @@ func (h *Hub) SessionStarted(st *Stream, ep *epoch, session uint64) {
 	ep.session = session
 	st.mu.Unlock()
 	h.active.Set(h.countActive())
-	h.broker.Publish(Event{Seq: h.seq.Add(1), Type: "stream-open", Stream: st.id, Epoch: ep.num})
+	h.ledger.Announce(serving.Event{Type: "stream-open", Stream: st.id, Epoch: ep.num})
 }
 
 // SessionEnded marks the epoch done (wired to core's OnSessionEnd),
@@ -570,7 +529,7 @@ func (h *Hub) SessionEnded(st *Stream, ep *epoch, res *core.Result, err error) {
 	errStr := ep.endErr
 	st.mu.Unlock()
 	h.active.Set(h.countActive())
-	h.broker.Publish(Event{Seq: h.seq.Add(1), Type: "stream-close", Stream: st.id, Epoch: ep.num, Error: errStr})
+	h.ledger.Announce(serving.Event{Type: "stream-close", Stream: st.id, Epoch: ep.num, Error: errStr})
 }
 
 // countActive recounts live streams under the hub lock.
@@ -623,21 +582,15 @@ func (h *Hub) Stalled(stallAfter time.Duration, now time.Time) []StallInfo {
 	return out
 }
 
-// Detection records one fast-detector verdict: store history for the
-// REST API, counters, and a live event. Runs on the session's dispatch
-// goroutine; must not block. Spans arrive epoch-relative; the stream's
-// absolute base places them on the transmit timeline.
-func (h *Hub) Detection(st *Stream, d core.Detection) {
-	h.detection(st, d)
-}
-
-// detection appends the record (stamped from the hub's allocator, so
-// the live event and the stored record share one sequence number) and
-// returns it for the capture path to key its snippet on.
-func (h *Hub) detection(st *Stream, d core.Detection) DetectionRecord {
+// Detection records one fast-detector verdict: a ledger write (store
+// history for the REST API plus a live event under one sequence number)
+// and counters. Runs on the session's dispatch goroutine; must not
+// block. Spans arrive epoch-relative; the stream's absolute base places
+// them on the transmit timeline. It returns the record written, for the
+// capture path to key its snippet on (Seq 0 when the store refused it).
+func (h *Hub) Detection(st *Stream, d core.Detection) *history.DetectionRecord {
 	base := st.absBase.Load()
-	rec := DetectionRecord{
-		Seq:        h.seq.Add(1),
+	rec := &history.DetectionRecord{
 		Stream:     st.id,
 		Epoch:      st.curEpoch.Load(),
 		TimeS:      (float64(base) + float64(d.Span.Start)) / float64(h.clock.Rate),
@@ -652,11 +605,15 @@ func (h *Hub) detection(st *Stream, d core.Detection) DetectionRecord {
 	}
 	st.detections.Add(1)
 	h.detCount.Inc()
-	if err := h.store.AppendDetection(&rec); err != nil {
+	h.count(h.ledger.Detection(rec))
+	return rec
+}
+
+// count books a failed ledger write.
+func (h *Hub) count(err error) {
+	if err != nil {
 		h.storeErrs.Inc()
 	}
-	h.broker.Publish(Event{Seq: rec.Seq, Type: "detection", Stream: st.id, Epoch: rec.Epoch, Detection: &rec})
-	return rec
 }
 
 // DetectionCaptured is Detection plus the DVR half: the triggering IQ
@@ -665,10 +622,12 @@ func (h *Hub) detection(st *Stream, d core.Detection) DetectionRecord {
 // owned by the session and reused — the store's append contract is to
 // copy, never retain.
 func (h *Hub) DetectionCaptured(st *Stream, d core.Detection, span iq.Interval, burst iq.Samples) {
-	rec := h.detection(st, d)
+	rec := h.Detection(st, d)
+	if rec.Seq == 0 {
+		return // no detection record to key the snippet on
+	}
 	base := st.absBase.Load()
-	snip := history.Snippet{
-		Seq:       h.seq.Add(1),
+	h.count(h.ledger.Snippet(&history.Snippet{
 		Stream:    st.id,
 		Detection: rec.Seq,
 		Epoch:     rec.Epoch,
@@ -676,32 +635,21 @@ func (h *Hub) DetectionCaptured(st *Stream, d core.Detection, span iq.Interval, 
 		Start:     base + int64(span.Start),
 		End:       base + int64(span.End),
 		IQ:        burst,
-	}
-	if err := h.store.AppendSnippet(&snip); err != nil {
-		h.storeErrs.Inc()
-	}
+	}))
 }
 
 // Packet records one decoded packet, reusing the offline packet-log
 // record as the single packet schema.
 func (h *Hub) Packet(st *Stream, p demod.Packet) {
-	ev := PacketEvent{Seq: h.seq.Add(1), Stream: st.id, PacketRecord: trace.NewPacketRecord(h.clock, p)}
+	ev := &history.PacketEvent{Stream: st.id, PacketRecord: trace.NewPacketRecord(h.clock, p)}
 	st.packets.Add(1)
 	h.pktCount.Inc()
-	if err := h.store.AppendPacket(&ev); err != nil {
-		h.storeErrs.Inc()
-	}
-	h.broker.Publish(Event{Seq: ev.Seq, Type: "packet", Stream: st.id, Epoch: st.curEpoch.Load(), Packet: &ev})
+	h.count(h.ledger.Packet(ev, st.curEpoch.Load()))
 }
 
-// Tile banks one waterfall column (built by the daemon's ingest tee)
-// into the store. No live event: the SSE feed carries detections and
-// packets; tiles are history for the query API.
+// Tile banks one waterfall column (built by the daemon's ingest tee).
 func (h *Hub) Tile(t *history.Tile) {
-	t.Seq = h.seq.Add(1)
-	if err := h.store.AppendTile(t); err != nil {
-		h.storeErrs.Inc()
-	}
+	h.count(h.ledger.Tile(t))
 }
 
 // Streams snapshots every registered stream, oldest first.
@@ -750,53 +698,15 @@ func (h *Hub) newestStream() (*Stream, bool) {
 }
 
 // Detections returns up to limit newest detection records (0 = all
-// retained), optionally filtered to one stream id (0 = all streams) —
-// the legacy ring-snapshot semantics, now answered by the store.
-func (h *Hub) Detections(stream uint64, limit int) []DetectionRecord {
-	return h.store.RecentDetections(stream, limit)
+// retained), oldest first, optionally filtered to one stream id (0 =
+// all streams).
+func (h *Hub) Detections(stream uint64, limit int) []history.DetectionRecord {
+	return h.ledger.Store().RecentDetections(stream, limit)
 }
 
 // Packets returns up to limit newest packet events, as Detections.
-func (h *Hub) Packets(stream uint64, limit int) []PacketEvent {
-	return h.store.RecentPackets(stream, limit)
-}
-
-// ring is a fixed-capacity overwrite-oldest buffer. The hub's history
-// moved behind history.Store; the ring remains the waterfall tee's
-// building block and a tested primitive.
-type ring[T any] struct {
-	buf  []T
-	next int
-	full bool
-}
-
-func newRing[T any](n int) *ring[T] {
-	if n < 1 {
-		n = 1
-	}
-	return &ring[T]{buf: make([]T, n)}
-}
-
-func (r *ring[T]) add(v T) {
-	r.buf[r.next] = v
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// snapshot returns the contents oldest-first.
-func (r *ring[T]) snapshot() []T {
-	if !r.full {
-		out := make([]T, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+func (h *Hub) Packets(stream uint64, limit int) []history.PacketEvent {
+	return h.ledger.Store().RecentPackets(stream, limit)
 }
 
 // sampleRing keeps the most recent capacity samples of a stream for the

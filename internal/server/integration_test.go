@@ -14,12 +14,14 @@ import (
 	"rfdump/internal/core"
 	"rfdump/internal/demod"
 	"rfdump/internal/ether"
+	"rfdump/internal/history"
 	"rfdump/internal/iq"
 	"rfdump/internal/mac"
 	"rfdump/internal/metrics"
 	"rfdump/internal/phy/wifi"
 	"rfdump/internal/protocols"
 	_ "rfdump/internal/protocols/builtin"
+	"rfdump/internal/serving"
 	"rfdump/internal/trace"
 	"rfdump/internal/wire"
 )
@@ -112,8 +114,8 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-// waitStreamsDone polls /api/streams until want streams exist and none
-// are active.
+// waitStreamsDone polls /api/streams until want streams exist and all
+// are done — which happens-after their last record is queryable.
 func waitStreamsDone(t *testing.T, baseURL string, want int) []StreamInfo {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -125,7 +127,7 @@ func waitStreamsDone(t *testing.T, baseURL string, want int) []StreamInfo {
 		if len(body.Streams) >= want {
 			done := true
 			for _, st := range body.Streams {
-				if st.Active {
+				if !st.Done {
 					done = false
 				}
 			}
@@ -173,7 +175,7 @@ func TestDaemonLoopbackMatchesOffline(t *testing.T) {
 	// Live feed first, so stream-open is observed: read events until
 	// stream-close.
 	type liveResult struct {
-		events []Event
+		events []serving.Event
 		err    error
 	}
 	liveCh := make(chan liveResult, 1)
@@ -194,7 +196,7 @@ func TestDaemonLoopbackMatchesOffline(t *testing.T) {
 			if !strings.HasPrefix(line, "data: ") {
 				continue
 			}
-			var ev Event
+			var ev serving.Event
 			if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
 				out.err = err
 				break
@@ -245,7 +247,7 @@ func TestDaemonLoopbackMatchesOffline(t *testing.T) {
 
 	// Detections identical to the offline run.
 	var dets struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, ts.URL+"/api/detections", &dets)
 	if len(dets.Detections) != len(ref.Detections) {
@@ -262,7 +264,7 @@ func TestDaemonLoopbackMatchesOffline(t *testing.T) {
 
 	// Packets identical, in the shared trace.PacketRecord schema.
 	var pkts struct {
-		Packets []PacketEvent `json:"packets"`
+		Packets []history.PacketEvent `json:"packets"`
 	}
 	getJSON(t, ts.URL+"/api/packets", &pkts)
 	if len(pkts.Packets) != len(refPackets) {

@@ -12,9 +12,11 @@ import (
 	"rfdump/internal/core"
 	"rfdump/internal/demod"
 	"rfdump/internal/ether"
+	"rfdump/internal/history"
 	"rfdump/internal/mac"
 	"rfdump/internal/metrics"
 	"rfdump/internal/protocols"
+	"rfdump/internal/serving"
 	"rfdump/internal/wire"
 )
 
@@ -118,10 +120,10 @@ func TestHealthEndpoints(t *testing.T) {
 // subscriber that keeps consuming stays.
 func TestSlowSubscriberEvicted(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b := NewBroker(2, 4, reg)
+	b := serving.NewBroker(2, 4, reg)
 	slow := b.Subscribe()
 	for i := 0; i < 10; i++ {
-		b.Publish(Event{Seq: uint64(i), Type: "detection"})
+		b.Publish(serving.Event{Seq: uint64(i), Type: "detection"})
 	}
 	if !slow.Evicted() {
 		t.Fatal("subscriber with 8 consecutive drops not evicted")
@@ -141,7 +143,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	// A consuming subscriber never accumulates enough consecutive drops.
 	ok := b.Subscribe()
 	for i := 0; i < 50; i++ {
-		b.Publish(Event{Seq: uint64(i), Type: "detection"})
+		b.Publish(serving.Event{Seq: uint64(i), Type: "detection"})
 		select {
 		case <-ok.Events():
 		default:
@@ -186,7 +188,7 @@ func TestReconnectStitchingAccounting(t *testing.T) {
 			Streams []StreamInfo `json:"streams"`
 		}
 		getJSON(t, ts.URL+"/api/streams", &body)
-		if len(body.Streams) == 1 && !body.Streams[0].Active {
+		if len(body.Streams) == 1 && body.Streams[0].Done {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -262,7 +264,7 @@ func TestReconnectStitchingAccounting(t *testing.T) {
 	// Absolute spans: epoch-1 detections sit on the transmit timeline,
 	// offset by everything epoch 0 carried plus the gap.
 	var dets struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, fmt.Sprintf("%s/api/detections?stream=%d", ts.URL, st.ID), &dets)
 	if len(dets.Detections) == 0 {
@@ -457,7 +459,7 @@ func TestChaosSoakLedger(t *testing.T) {
 	const matchTol = 4096
 	const cutMargin = 65536
 	var dets struct {
-		Detections []DetectionRecord `json:"detections"`
+		Detections []history.DetectionRecord `json:"detections"`
 	}
 	getJSON(t, fmt.Sprintf("%s/api/detections?stream=%d", ts.URL, st.ID), &dets)
 	matched, checked := 0, 0

@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"rfdump/internal/metrics"
+	"rfdump/internal/serving"
 )
 
 func TestBrokerDropAndCount(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b := NewBroker(4, 0, reg)
+	b := serving.NewBroker(4, 0, reg)
 	sub := b.Subscribe()
 	for i := 1; i <= 20; i++ {
-		b.Publish(Event{Seq: uint64(i), Type: "detection", Stream: 1})
+		b.Publish(serving.Event{Seq: uint64(i), Type: "detection", Stream: 1})
 	}
 	if got := sub.Dropped(); got != 16 {
 		t.Errorf("subscriber dropped %d, want 16", got)
@@ -38,11 +39,11 @@ func TestBrokerDropAndCount(t *testing.T) {
 }
 
 func TestBrokerTypeFilter(t *testing.T) {
-	b := NewBroker(8, 0, nil)
+	b := serving.NewBroker(8, 0, nil)
 	sub := b.Subscribe("packet")
-	b.Publish(Event{Seq: 1, Type: "detection"})
-	b.Publish(Event{Seq: 2, Type: "packet"})
-	b.Publish(Event{Seq: 3, Type: "stream-close"})
+	b.Publish(serving.Event{Seq: 1, Type: "detection"})
+	b.Publish(serving.Event{Seq: 2, Type: "packet"})
+	b.Publish(serving.Event{Seq: 3, Type: "stream-close"})
 	ev := <-sub.Events()
 	if ev.Type != "packet" || ev.Seq != 2 {
 		t.Errorf("filtered event %+v", ev)
@@ -59,7 +60,7 @@ func TestBrokerTypeFilter(t *testing.T) {
 }
 
 func TestBrokerUnsubscribeClosesQueue(t *testing.T) {
-	b := NewBroker(2, 0, nil)
+	b := serving.NewBroker(2, 0, nil)
 	sub := b.Subscribe()
 	b.Unsubscribe(sub)
 	if _, open := <-sub.Events(); open {
@@ -67,7 +68,7 @@ func TestBrokerUnsubscribeClosesQueue(t *testing.T) {
 	}
 	// Idempotent, and publishing after unsubscribe is harmless.
 	b.Unsubscribe(sub)
-	b.Publish(Event{Seq: 1, Type: "detection"})
+	b.Publish(serving.Event{Seq: 1, Type: "detection"})
 }
 
 func TestSampleRingWraparound(t *testing.T) {
@@ -98,16 +99,5 @@ func TestSampleRingWraparound(t *testing.T) {
 	got = r.Snapshot()
 	if len(got) != 300 || real(got[0]) != 1600 || real(got[299]) != 1899 {
 		t.Errorf("oversized append: len=%d first=%v last=%v", len(got), got[0], got[len(got)-1])
-	}
-}
-
-func TestRingSnapshotOrder(t *testing.T) {
-	r := newRing[int](3)
-	for i := 1; i <= 5; i++ {
-		r.add(i)
-	}
-	got := r.snapshot()
-	if len(got) != 3 || got[0] != 3 || got[2] != 5 {
-		t.Errorf("snapshot %v, want [3 4 5]", got)
 	}
 }

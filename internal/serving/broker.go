@@ -2,17 +2,16 @@
 // monitoring tiers: the single-vantage node daemon (rfdumpd) and the
 // fleet aggregator (rfdumpc). Both export the identical surface —
 // /api/live with ?since= catch-up, /api/history bounds, the paged DVR
-// query endpoints, health probes, metrics — and before this package
-// existed each reimplemented it. Unifying the handler code is what
-// makes broker trees possible: an aggregator subscribes to another
-// aggregator exactly as it subscribes to a node, because the surfaces
-// cannot drift apart.
+// query endpoints, health probes, metrics — from the same handler code
+// over the same record path. That is what makes broker trees possible:
+// an aggregator subscribes to another aggregator exactly as it
+// subscribes to a node, because the surfaces cannot drift apart.
 //
 // The pieces: a sharded SSE Broker (bounded per-subscriber queues,
-// drop-and-count, consecutive-drop eviction), a Ledger abstraction
-// (any seq-ordered record source that can replay history for the
-// ?since= seam), a per-host query Quota, and a Core that registers the
-// shared routes over them.
+// drop-and-count, consecutive-drop eviction), the Ledger (store, broker
+// and sequence allocator behind one lock — the one write path of both
+// tiers, and the replay behind the ?since= seam), a per-host query
+// Quota, and a Core that registers the shared routes over them.
 //
 // The cardinal rule of the fan-out is that observers never apply
 // backpressure to ingest: every subscriber owns a bounded queue, and a
@@ -81,11 +80,9 @@ func (s *Subscriber) Dropped() int64 { return s.dropped.Load() }
 // sustained lag (its Events channel is closed).
 func (s *Subscriber) Evicted() bool { return s.evicted.Load() }
 
-// wants reports whether the subscriber's type filter admits the event.
-func (s *Subscriber) wants(ev Event) bool { return s.wantsType(ev.Type) }
-
-// wantsType is wants by event type (the SSE catch-up replay filters
-// synthesized events through the same subscription filter).
+// wantsType reports whether the subscriber's type filter admits events
+// of type t (the SSE catch-up replay filters synthesized events through
+// the same subscription filter).
 func (s *Subscriber) wantsType(t string) bool { return s.types == nil || s.types[t] }
 
 // brokerShard is one shared-nothing slice of the subscriber set: its
@@ -230,7 +227,7 @@ func (b *Broker) Publish(ev Event) {
 	for _, sh := range b.shards {
 		sh.mu.RLock()
 		for s := range sh.subs {
-			if !s.wants(ev) {
+			if !s.wantsType(ev.Type) {
 				continue
 			}
 			select {

@@ -13,125 +13,6 @@ import (
 	"rfdump/internal/trace"
 )
 
-// Ledger is a seq-ordered record source: the contract the shared SSE
-// catch-up and /api/history handlers need from a tier. The node hub's
-// ledger is its history store; the aggregator's is the fused WAL it
-// persists through the same store interface. Either way the live feed
-// publishes events under store sequence numbers, so "replay records
-// with Seq > since, then tail the broker, skipping events the replay
-// covered" is one shared code path.
-type Ledger interface {
-	// LastSeq returns the newest sequence number the ledger assigned —
-	// what a subscriber resumes from, and what the cluster manager's
-	// restart probe compares its cursor against.
-	LastSeq() uint64
-	// Replay emits stored records with Seq > since, ascending, filtered
-	// through wants (the subscriber's type filter), and returns the
-	// newest sequence emitted (since when nothing qualified).
-	Replay(since uint64, wants func(string) bool, emit func(Event)) uint64
-	// Stats returns the /api/history body (store retention snapshot).
-	Stats() any
-}
-
-// replayLimit bounds how much stored history one SSE ?since= catch-up
-// replays before handing over to the live feed.
-const replayLimit = 4096
-
-// StoreLedger adapts a history.Store to the Ledger contract — the one
-// implementation both tiers use. Detection records replay as
-// "detection" events, or "detection-update" when the record carries
-// the Merge flag (the aggregator's WAL marks evidence merged into an
-// already-published detection that way); packet records replay as
-// "packet" events, merged into the detection stream by sequence.
-type StoreLedger struct {
-	Store history.Store
-}
-
-// LastSeq returns the store's newest sequence.
-func (l StoreLedger) LastSeq() uint64 { return l.Store.LastSeq() }
-
-// Stats returns the store's retention snapshot.
-func (l StoreLedger) Stats() any { return l.Store.Stats() }
-
-// eventType maps a stored detection record to its feed event type.
-func eventType(rec *history.DetectionRecord) string {
-	if rec.Merge {
-		return "detection-update"
-	}
-	return "detection"
-}
-
-// Replay pages the store for detection and packet records with
-// Seq > since and emits them as synthesized feed events, merged in
-// sequence order.
-func (l StoreLedger) Replay(since uint64, wants func(string) bool, emit func(Event)) uint64 {
-	last := since
-	var dets []history.DetectionRecord
-	var pkts []history.PacketEvent
-	if wants("detection") || wants("detection-update") {
-		dets = l.queryAllDetections(since)
-	}
-	if wants("packet") {
-		pkts = l.queryAllPackets(since)
-	}
-	di, pi := 0, 0
-	for di < len(dets) || pi < len(pkts) {
-		var ev Event
-		if pi >= len(pkts) || (di < len(dets) && dets[di].Seq < pkts[pi].Seq) {
-			rec := dets[di]
-			di++
-			typ := eventType(&rec)
-			if !wants(typ) {
-				continue
-			}
-			ev = Event{Seq: rec.Seq, Type: typ, Stream: rec.Stream, Epoch: rec.Epoch, Detection: &rec}
-		} else {
-			pe := pkts[pi]
-			pi++
-			ev = Event{Seq: pe.Seq, Type: "packet", Stream: pe.Stream, Packet: &pe}
-		}
-		emit(ev)
-		if ev.Seq > last {
-			last = ev.Seq
-		}
-	}
-	return last
-}
-
-func (l StoreLedger) queryAllDetections(since uint64) []history.DetectionRecord {
-	var out []history.DetectionRecord
-	cursor := since
-	for len(out) < replayLimit {
-		recs, next, more, err := l.Store.QueryDetections(history.Query{Cursor: cursor})
-		if err != nil {
-			break
-		}
-		out = append(out, recs...)
-		cursor = next
-		if !more {
-			break
-		}
-	}
-	return out
-}
-
-func (l StoreLedger) queryAllPackets(since uint64) []history.PacketEvent {
-	var out []history.PacketEvent
-	cursor := since
-	for len(out) < replayLimit {
-		recs, next, more, err := l.Store.QueryPackets(history.Query{Cursor: cursor})
-		if err != nil {
-			break
-		}
-		out = append(out, recs...)
-		cursor = next
-		if !more {
-			break
-		}
-	}
-	return out
-}
-
 // Core is the shared serving surface: the routes both tiers export
 // from the same handler code, so a fleet client — or a parent
 // aggregator in a broker tree — cannot tell a node from an aggregator.
@@ -142,7 +23,7 @@ func (l StoreLedger) queryAllPackets(since uint64) []history.PacketEvent {
 //	GET /healthz          — tier-specific liveness body, 503 on not-ok
 //	GET /readyz           — tier-specific readiness body, 503 on not-ok
 //
-// and the quota'd DVR query surface over Store:
+// and the quota'd DVR query surface over the ledger's store:
 //
 //	GET /api/streams/{id}/detections     — ?from=&to=&limit=&cursor=
 //	GET /api/streams/{id}/packets        — same pagination
@@ -150,14 +31,12 @@ func (l StoreLedger) queryAllPackets(since uint64) []history.PacketEvent {
 //	GET /api/streams/{id}/snippets/{det} — captured IQ burst (404 on a
 //	                                       tier that captures none)
 type Core struct {
-	// Broker carries the live feed; Ledger replays the ?since= catch-up
-	// and serves /api/history. Both required.
-	Broker *Broker
-	Ledger Ledger
-	// Store backs the paged DVR query routes. Required; a tier that
+	// Ledger is the tier's record path (required): its broker carries
+	// the live feed, its Replay serves the ?since= catch-up, its store
+	// backs /api/history and the paged DVR query routes. A tier that
 	// persists only detections (the aggregator's WAL) serves empty
 	// packet/tile pages and 404s snippets from the same handlers.
-	Store history.Store
+	Ledger *Ledger
 	// Quota rate-limits the DVR query routes per host (nil = unlimited).
 	Quota *Quota
 	// Registry backs /api/metricz; Refresh, if set, runs before each
@@ -177,13 +56,18 @@ type Core struct {
 // owning tier on the same mux.
 func (c *Core) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/live", c.handleLive)
-	mux.HandleFunc("GET /api/history", c.handleHistory)
+	// The ledger's retention snapshot: store kind, counts, bytes, segment
+	// count, sequence and time bounds.
+	mux.HandleFunc("GET /api/history", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, c.Ledger.Stats())
+	})
 	mux.Handle("/api/metricz", metrics.Handler(c.Registry, c.Refresh))
 	mux.HandleFunc("/healthz", c.probe(c.Health))
 	mux.HandleFunc("/readyz", c.probe(c.Ready))
-	mux.HandleFunc("GET /api/streams/{id}/detections", c.Quota.Limit(c.handleStreamDetections))
-	mux.HandleFunc("GET /api/streams/{id}/packets", c.Quota.Limit(c.handleStreamPackets))
-	mux.HandleFunc("GET /api/streams/{id}/tiles", c.Quota.Limit(c.handleStreamTiles))
+	store := c.Ledger.Store()
+	mux.HandleFunc("GET /api/streams/{id}/detections", c.Quota.Limit(pageHandler("detections", store.QueryDetections)))
+	mux.HandleFunc("GET /api/streams/{id}/packets", c.Quota.Limit(pageHandler("packets", store.QueryPackets)))
+	mux.HandleFunc("GET /api/streams/{id}/tiles", c.Quota.Limit(pageHandler("tiles", store.QueryTiles)))
 	mux.HandleFunc("GET /api/streams/{id}/snippets/{det}", c.Quota.Limit(c.handleSnippet))
 }
 
@@ -197,16 +81,8 @@ func (c *Core) probe(build func() (any, bool)) http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
+		WriteJSON(w, body)
 	}
-}
-
-// handleHistory serves the ledger's retention snapshot (kind, counts,
-// bytes, segment count, sequence and time bounds).
-func (c *Core) handleHistory(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, c.Ledger.Stats())
 }
 
 // handleLive is the SSE feed. Each subscriber gets a bounded queue; a
@@ -238,8 +114,9 @@ func (c *Core) handleLive(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sub := c.Broker.Subscribe(types...)
-	defer c.Broker.Unsubscribe(sub)
+	broker := c.Ledger.Broker()
+	sub := broker.Subscribe(types...)
+	defer broker.Unsubscribe(sub)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -278,61 +155,29 @@ func (c *Core) handleLive(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (c *Core) handleStreamDetections(w http.ResponseWriter, r *http.Request) {
-	id, err := PathID(r, "id")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+// pageHandler serves one record type's cursor-paginated history for
+// the stream in the path: pass next_cursor back as ?cursor= while more
+// is true and no record is ever served twice, even across retention
+// eviction.
+func pageHandler[T any](field string, query func(history.Query) ([]T, uint64, bool, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := PathID(r, "id")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		q, err := ParseHistoryQuery(r, id)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		recs, next, more, err := query(q)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		WriteJSON(w, map[string]any{field: recs, "next_cursor": next, "more": more})
 	}
-	q, err := ParseHistoryQuery(r, id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	recs, next, more, err := c.Store.QueryDetections(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	WritePage(w, "detections", recs, next, more)
-}
-
-func (c *Core) handleStreamPackets(w http.ResponseWriter, r *http.Request) {
-	id, err := PathID(r, "id")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	q, err := ParseHistoryQuery(r, id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	recs, next, more, err := c.Store.QueryPackets(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	WritePage(w, "packets", recs, next, more)
-}
-
-func (c *Core) handleStreamTiles(w http.ResponseWriter, r *http.Request) {
-	id, err := PathID(r, "id")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	q, err := ParseHistoryQuery(r, id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	recs, next, more, err := c.Store.QueryTiles(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	WritePage(w, "tiles", recs, next, more)
 }
 
 // handleSnippet serves the captured IQ burst behind one detection:
@@ -349,7 +194,7 @@ func (c *Core) handleSnippet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snip, err := c.Store.Snippet(id, det)
+	snip, err := c.Ledger.Store().Snippet(id, det)
 	if errors.Is(err, history.ErrNotFound) {
 		http.Error(w, "no snippet for that detection (not captured, or evicted)", http.StatusNotFound)
 		return
@@ -432,11 +277,4 @@ func ParseHistoryQuery(r *http.Request, stream uint64) (history.Query, error) {
 		return q, err
 	}
 	return q, nil
-}
-
-// WritePage writes the JSON envelope of every paginated history query:
-// pass next_cursor back as ?cursor= while more is true and no record is
-// ever served twice, even across retention eviction.
-func WritePage(w http.ResponseWriter, field string, recs any, next uint64, more bool) {
-	WriteJSON(w, map[string]any{field: recs, "next_cursor": next, "more": more})
 }

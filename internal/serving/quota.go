@@ -9,13 +9,13 @@ import (
 	"rfdump/internal/metrics"
 )
 
-// Quota rate-limits the history query endpoints with one token bucket
-// per client host. History queries can fan out over segment files; an
+// Quota rate-limits the store-backed reads with one token bucket per
+// client host. History queries can fan out over segment files; an
 // unthrottled dashboard polling them would contend with the ingest
 // path for disk, so each host gets rps tokens per second with a burst
-// ceiling and a 429 (Retry-After: 1) past it. The legacy endpoints the
-// integration tooling polls (/api/streams, /api/live, /healthz) are
-// exempt — only the store-backed routes pay.
+// ceiling and a 429 (Retry-After: 1) past it. Every route that reads
+// the store pays; routes that do not (/api/streams, /api/live,
+// /healthz) are not limited.
 type Quota struct {
 	rps   float64
 	burst float64
