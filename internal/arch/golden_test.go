@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"rfdump/internal/core"
@@ -54,8 +55,10 @@ type goldenPacket struct {
 	Frame   int    `json:"frame_bytes"`
 }
 
-// goldenLog is the checked-in expectation: every detection and every
-// decoded packet of the golden trace, in pipeline order.
+// goldenLog is the checked-in expectation: every detection of the golden
+// trace in pipeline order, and every decoded packet sorted by (start,
+// proto) — the golden pins what is decoded, not the order requests leave
+// the dispatcher in.
 type goldenLog struct {
 	Rate       int               `json:"rate"`
 	Samples    int               `json:"samples"`
@@ -135,6 +138,10 @@ func logFrom(rate int, n int, out *Result) goldenLog {
 			Frame:   len(p.Frame),
 		})
 	}
+	sort.SliceStable(g.Packets, func(i, j int) bool {
+		a, b := g.Packets[i], g.Packets[j]
+		return a.Start < b.Start || a.Start == b.Start && a.Proto < b.Proto
+	})
 	return g
 }
 

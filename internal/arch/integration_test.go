@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"reflect"
 	"testing"
 
 	"rfdump/internal/core"
@@ -229,5 +230,57 @@ func TestRFDumpCheaperThanNaive(t *testing.T) {
 	}
 	if outR.CPU*2 >= outN.CPU {
 		t.Errorf("RFDump CPU %v not at least 2x cheaper than naive %v", outR.CPU, outN.CPU)
+	}
+}
+
+// TestStreamIdleChannelMatchesBatch: with 300 ms between exchanges the
+// channel is idle for longer than the session window holds (200 ms at
+// 8 Msps). A request that waited for the next burst would be demodulated
+// from evicted samples; flushed on stream time, the live session decodes
+// exactly what the whole-trace run does.
+func TestStreamIdleChannelMatchesBatch(t *testing.T) {
+	res, err := ether.Run(ether.Config{
+		Duration: 20_000_000,
+		SNRdB:    20,
+		Seed:     42,
+		Sources: []mac.Source{
+			&mac.WiFiUnicast{
+				Rate:         protocols.WiFi80211b1M,
+				Pings:        9,
+				PayloadBytes: 500,
+				InterPing:    2_400_000,
+				Requester:    addr(1),
+				Responder:    addr(2),
+				BSSID:        addr(3),
+				CFOHz:        2500,
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := func(r *core.Result, err error) []iq.Interval {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []iq.Interval
+		for _, it := range r.Outputs {
+			if p, ok := it.(demod.Packet); ok && p.Valid {
+				out = append(out, p.Span)
+			}
+		}
+		return out
+	}
+	pipeline := func() *core.Pipeline {
+		return core.NewPipeline(res.Clock, core.TimingAndPhase(), demod.NewWiFiDemod())
+	}
+	batch := valid(pipeline().Run(res.Samples))
+	live := valid(pipeline().RunStream(&sliceBlocks{s: res.Samples}, core.StreamConfig{WindowSamples: 1_600_000}))
+	if len(batch) != 4*9 {
+		t.Fatalf("whole-trace run decoded %d valid packets, want %d", len(batch), 4*9)
+	}
+	if !reflect.DeepEqual(live, batch) {
+		t.Errorf("live session decoded %d valid packets, whole-trace run %d:\n  live  %v\n  batch %v", len(live), len(batch), live, batch)
 	}
 }

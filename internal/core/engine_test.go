@@ -3,10 +3,12 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"rfdump/internal/iq"
+	"rfdump/internal/metrics"
 )
 
 // sessionStream is the reference burst pattern (WiFi-shaped data+ACK
@@ -120,10 +122,10 @@ func TestSessionSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(&sliceReader{s: make(iq.Samples, 4 * iq.ChunkSamples)}); err != nil {
+	if _, err := s.Run(&sliceReader{s: make(iq.Samples, 4*iq.ChunkSamples)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(&sliceReader{s: make(iq.Samples, 4 * iq.ChunkSamples)}); err == nil {
+	if _, err := s.Run(&sliceReader{s: make(iq.Samples, 4*iq.ChunkSamples)}); err == nil {
 		t.Fatal("second Run on one session should fail")
 	}
 }
@@ -146,24 +148,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	cfg.Peak.NoiseFloor = 1
 	e := NewEngine(testClock, cfg)
 
-	runOnce := func() {
-		s, err := e.NewSession(StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(&sliceReader{s: stream}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runOnce() // warm pools, grow scratch to steady state
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	runOnce()
-	runtime.ReadMemStats(&after)
-
-	allocs := float64(after.Mallocs - before.Mallocs)
+	allocs := steadyStateAllocs(t, e, stream)
 	perChunk := allocs / float64(n/iq.ChunkSamples)
 	t.Logf("%.0f allocations over %d chunks = %.4f allocs/chunk", allocs, n/iq.ChunkSamples, perChunk)
 	if perChunk > 0.1 {
@@ -171,6 +156,74 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 	if live := e.Pool().Stats().Live; live != 0 {
 		t.Errorf("%d blocks still live after runs", live)
+	}
+}
+
+// steadyStateAllocs runs one session over the stream to warm the pools
+// and grow scratch to steady state, then returns the runtime's
+// allocation count for a second one.
+func steadyStateAllocs(t *testing.T, e *Engine, stream iq.Samples) float64 {
+	t.Helper()
+	runOnce := func() {
+		s, err := e.NewSession(StreamConfig{NoRetain: true, OnDetection: func(Detection) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(&sliceReader{s: stream}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runOnce()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runOnce()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
+// TestStreamSteadyStateAllocsBursty is the gate the noise run cannot be:
+// on pure noise the dispatcher never holds a span. Here 200 data/ACK
+// exchanges cross detectors and dispatcher (no analyzers), and what the
+// run allocates beyond the same length of noise is budgeted per item:
+// one box per detection (the detectors' emit) and two per forwarded
+// request (its box and its Detectors slice) — nothing per chunk while a
+// span is pending, per merge, or per watermark.
+func TestStreamSteadyStateAllocsBursty(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; alloc gate runs in the non-race job")
+	}
+	const nchunks, period = 4000, 20
+	var spans []iq.Interval
+	for k := iq.Tick(0); k < nchunks/period; k++ {
+		at := k*period*chunk + 300
+		spans = append(spans, iq.Interval{Start: at, End: at + 1500}, iq.Interval{Start: at + 1580, End: at + 2100})
+	}
+	cfg := TimingOnly()
+	cfg.Peak.NoiseFloor = 1
+	cfg.Metrics = metrics.NewRegistry()
+	e := NewEngine(testClock, cfg)
+
+	quiet := steadyStateAllocs(t, e, burstStream(nchunks*iq.ChunkSamples, 20, 7))
+	cfg.Metrics.Reset()
+	busy := steadyStateAllocs(t, e, burstStream(nchunks*iq.ChunkSamples, 20, 7, spans...))
+	var dets, reqs int64
+	for name, v := range cfg.Metrics.Snapshot().Counters {
+		switch {
+		case !strings.HasPrefix(name, "dispatch/"):
+		case strings.HasSuffix(name, "/detections"):
+			dets += v / 2 // two runs
+		case strings.HasSuffix(name, "/forwarded_spans"):
+			reqs += v / 2
+		}
+	}
+	t.Logf("%.0f allocations with %d detections and %d requests, %.0f over noise alone", busy, dets, reqs, quiet)
+	if reqs < nchunks/period {
+		t.Fatalf("%d requests from %d exchanges", reqs, nchunks/period)
+	}
+	// 0.01 per chunk is sync.Pool slack between two otherwise equal runs.
+	if budget := float64(dets+2*reqs) + 0.01*nchunks; busy-quiet > budget {
+		t.Errorf("%.0f allocations beyond the quiet run, budget %.0f (1 per detection, 2 per request)", busy-quiet, budget)
 	}
 }
 

@@ -148,6 +148,11 @@ type ChunkMeta struct {
 	Completed []Peak
 	// History points to the shared recent-peak ring.
 	History *PeakHistory
+	// Settled is the stream-time watermark: the chunk's end, or the start
+	// of the peak still open across it. Every peak yet to complete starts
+	// at or after it (a start is never refined back past the chunk that
+	// opened the peak), which is what lets the dispatcher flush on it.
+	Settled iq.Tick
 
 	// Pooled-lifetime state (zero for metas built by hand, e.g. in
 	// tests, which then have value semantics and Retain/Dispose no-ops).
@@ -182,7 +187,7 @@ func (m *ChunkMeta) Dispose() {
 		b.Release()
 	}
 	m.Chunk = Chunk{}
-	m.AvgPower, m.NoiseFloor, m.Busy = 0, 0, false
+	m.AvgPower, m.NoiseFloor, m.Busy, m.Settled = 0, 0, false, 0
 	m.Completed = m.Completed[:0]
 	m.History = nil
 	m.home.pool.Put(m)

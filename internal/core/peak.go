@@ -166,6 +166,7 @@ func (p *PeakDetector) Process(item flowgraph.Item, emit func(flowgraph.Item)) e
 	tailAvg := tail.MeanPower()
 	meta.Busy = chunkAvg > thr || tailAvg > thr || p.inPeak
 
+	meta.Settled = chunk.Span.End
 	if !meta.Busy {
 		p.lastAvg = chunkAvg
 		p.totalChunks++
@@ -242,6 +243,7 @@ func (p *PeakDetector) Process(item flowgraph.Item, emit func(flowgraph.Item)) e
 	if p.inPeak {
 		// Peak continues into the next chunk.
 		p.cur.Span.End = chunk.Span.End
+		meta.Settled = p.cur.Span.Start
 	}
 	p.lastAvg = chunkAvg
 	p.totalChunks++
@@ -282,6 +284,7 @@ func (p *PeakDetector) Flush(emit func(flowgraph.Item)) error {
 	meta.NoiseFloor = p.NoiseFloor()
 	meta.Busy = true
 	meta.Chunk.Span = iq.Interval{Start: p.cur.Span.End, End: p.cur.Span.End}
+	meta.Settled = p.cur.Span.End
 	p.closePeak(p.cur.Span.End, meta)
 	emit(meta)
 	return nil

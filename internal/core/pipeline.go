@@ -263,7 +263,8 @@ type assembleOpts struct {
 
 // assemble builds the flowgraph for one run over the given accessor:
 // peak detector -> enabled fast detectors -> dispatcher [-> shed gate]
-// -> analyzers -> sink.
+// -> analyzers -> sink, plus peak detector -> dispatcher for the
+// watermark.
 func (e *Engine) assemble(analyzers []Analyzer, src SampleAccessor, opts assembleOpts) (*flowgraph.Graph, *Dispatcher, *[]flowgraph.Item, error) {
 	graph := flowgraph.New()
 
@@ -300,6 +301,10 @@ func (e *Engine) assemble(analyzers []Analyzer, src SampleAccessor, opts assembl
 	if added == 0 {
 		return nil, nil, nil, fmt.Errorf("core: pipeline has no detectors enabled")
 	}
+	// The dispatcher flushes on the peak detector's watermark. This edge
+	// comes after the detectors': the serial scheduler delivers in edge
+	// order, so chunk k's meta arrives after chunk k's detections.
+	graph.MustConnect("peak-detector", "dispatcher")
 
 	outputs := new([]flowgraph.Item)
 	sink := &sinkBlock{items: outputs, onItem: opts.onOutput, retain: !opts.noRetainOut}

@@ -114,7 +114,7 @@ func TestDispatcherRecordsEverything(t *testing.T) {
 	if len(d.Requests) != len(reqs) {
 		t.Error("requests not recorded")
 	}
-	spans := d.ForwardedSpans(protocols.WiFi80211b1M)
+	spans := (&Result{Requests: d.Requests}).ForwardedSpans(protocols.WiFi80211b1M)
 	if len(spans) != 1 {
 		t.Errorf("forwarded %v", spans)
 	}
