@@ -45,6 +45,30 @@ func newTestAggregator(reg *metrics.Registry, stall time.Duration) *Aggregator {
 	return agg
 }
 
+// journaled is the last seq in agg's fused-ledger journal. A WAL append
+// is the last step of an ingest, after the fuser has the record, so a
+// wait on it also covers everything the fuser shows.
+func journaled(agg *Aggregator) uint64 { return agg.Ledger().WAL().Store().LastSeq() }
+
+// fusedAcross reports whether one fused record carries evidence from
+// every one of nodes.
+func fusedAcross(f *Fuser, nodes ...string) bool {
+	for _, fd := range f.Recent(0) {
+		have := map[string]bool{}
+		for _, ev := range fd.Evidence {
+			have[ev.Node] = true
+		}
+		all := true
+		for _, n := range nodes {
+			all = all && have[n]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
 func getJSON(t *testing.T, url string, v any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -84,8 +108,13 @@ func TestAggregatorSurface(t *testing.T) {
 	api := httptest.NewServer(agg.Handler())
 	defer api.Close()
 
-	waitFor(t, "both nodes consumed", func() bool {
-		return agg.Fuser().Len() == 2 && agg.Manager().Connected() == 2
+	// Wait on what the assertions read — Fuser().Len() == 2 is not
+	// enough, node A alone reaches it: both nodes' evidence on the shared
+	// packet's fused record, and all three WAL records (two creates, one
+	// merge) journaled, which is the last step of an ingest.
+	waitFor(t, "both nodes' evidence fused and journaled", func() bool {
+		return fusedAcross(agg.Fuser(), "labA", "labB") &&
+			journaled(agg) == 3 && agg.Manager().Connected() == 2
 	})
 
 	// Flattened view: fleet-unaware clients see plain detection records.
@@ -258,7 +287,7 @@ func TestAggregatorLiveReplay(t *testing.T) {
 
 	api := httptest.NewServer(agg.Handler())
 	defer api.Close()
-	waitFor(t, "initial consume", func() bool { return agg.Fuser().Len() == 3 })
+	waitFor(t, "initial consume journaled", func() bool { return journaled(agg) == 3 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -47,8 +47,8 @@ func TestServingConformance(t *testing.T) {
 
 	api := httptest.NewServer(agg.Handler())
 	defer api.Close()
-	waitFor(t, "fleet consumed", func() bool {
-		return agg.Fuser().Len() == 3 && agg.Manager().Connected() == 1
+	waitFor(t, "fleet consumed and journaled", func() bool {
+		return journaled(agg) == 3 && agg.Manager().Connected() == 1
 	})
 
 	conformance.Run(t, api.URL, conformance.Options{

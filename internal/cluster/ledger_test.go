@@ -257,9 +257,9 @@ func TestBrokerTreeEndToEnd(t *testing.T) {
 	defer root.Close()
 	root.Add("mid", strings.TrimPrefix(midTS.URL, "http://"))
 
-	waitFor(t, "tree converged", func() bool {
-		return mid.Fuser().Len() == 2 && root.Fuser().Len() == 2
-	})
+	// The root journals a record only after the mid tier journaled and
+	// published it, so the root's journal is the whole tree's.
+	waitFor(t, "tree converged", func() bool { return journaled(root) == 2 })
 
 	// Evidence at the root names the leaf node, not the mid tier.
 	for _, fd := range root.Fuser().Recent(0) {
@@ -277,7 +277,7 @@ func TestBrokerTreeEndToEnd(t *testing.T) {
 	upd.Detection.Detector = "phase"
 	leaf.extend(upd)
 	waitFor(t, "merge propagated to root", func() bool {
-		return rootReg.Counter("cluster/evidence_merged").Load() == 1
+		return rootReg.Counter("cluster/evidence_merged").Load() == 1 && journaled(root) == 3
 	})
 	if got := root.Fuser().Len(); got != 2 {
 		t.Fatalf("merge created a new root detection: ledger %d, want 2", got)
@@ -285,18 +285,17 @@ func TestBrokerTreeEndToEnd(t *testing.T) {
 
 	// Leaf restarts and replays the same packets under fresh seqs: the
 	// mid tier dedups by content, so the root sees nothing at all.
-	midWAL := mid.Ledger().WAL().Store().LastSeq()
-	rootWAL := root.Ledger().WAL().Store().LastSeq()
+	midWAL, rootWAL := journaled(mid), journaled(root)
 	leaf.set([]serving.Event{detEvent(1, 1_000_000), detEvent(2, 5_000_000)})
 	waitFor(t, "leaf replay consumed", func() bool {
 		return midReg.Counter("cluster/node_resets").Load() == 1 &&
 			midReg.Counter("cluster/events_received").Load() >= 5
 	})
 	time.Sleep(50 * time.Millisecond) // let any (wrong) propagation surface
-	if got := mid.Ledger().WAL().Store().LastSeq(); got != midWAL {
+	if got := journaled(mid); got != midWAL {
 		t.Fatalf("leaf replay appended to the mid WAL: seq %d, want %d", got, midWAL)
 	}
-	if got := root.Ledger().WAL().Store().LastSeq(); got != rootWAL {
+	if got := journaled(root); got != rootWAL {
 		t.Fatalf("leaf replay reached the root WAL: seq %d, want %d", got, rootWAL)
 	}
 	if got := root.Fuser().Len(); got != 2 {
@@ -306,7 +305,8 @@ func TestBrokerTreeEndToEnd(t *testing.T) {
 	// New over-the-air traffic after the restart still flows the whole
 	// tree.
 	leaf.extend(detEvent(3, 9_000_000))
-	waitFor(t, "post-restart packet at root", func() bool {
-		return root.Fuser().Len() == 3
-	})
+	waitFor(t, "post-restart packet at root", func() bool { return journaled(root) == rootWAL+1 })
+	if got := root.Fuser().Len(); got != 3 {
+		t.Fatalf("post-restart packet at root: ledger %d, want 3", got)
+	}
 }

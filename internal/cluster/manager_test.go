@@ -178,7 +178,15 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 		}
 		return sts[0]
 	}
-	waitFor(t, "epoch-1 consume", func() bool { return status().LastSeq == 5 })
+	// The manager advances a node's LastSeq before it calls OnEvent, so
+	// the waits below count finished OnEvent calls — what the assertions
+	// read — rather than the cursor.
+	handled := func() int {
+		cmu.Lock()
+		defer cmu.Unlock()
+		return created + merged + dups
+	}
+	waitFor(t, "epoch-1 consume", func() bool { return handled() == 5 })
 	if fuser.Len() != 5 {
 		t.Fatalf("epoch 1 fused %d detections, want 5", fuser.Len())
 	}
@@ -191,7 +199,7 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 	})
 	waitFor(t, "restart detect + replay", func() bool {
 		st := status()
-		return st.Resets == 1 && st.LastSeq == 3
+		return st.Resets == 1 && st.LastSeq == 3 && handled() == 8
 	})
 
 	// The replay crossed OnEvent again; content dedup must have eaten
@@ -209,8 +217,7 @@ func TestManagerSeamAcrossRestart(t *testing.T) {
 	// The epoch-2 node keeps detecting: seqs 4..6 are genuinely new
 	// packets and must flow normally from the reset cursor.
 	node.extend(detEvent(4, 11_000_000), detEvent(5, 12_000_000), detEvent(6, 13_000_000))
-	waitFor(t, "post-restart tail", func() bool { return status().LastSeq == 6 })
-	waitFor(t, "post-restart fusion", func() bool { return fuser.Len() == 8 })
+	waitFor(t, "post-restart tail", func() bool { return status().LastSeq == 6 && handled() == 11 })
 
 	cmu.Lock()
 	defer cmu.Unlock()

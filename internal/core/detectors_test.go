@@ -268,7 +268,7 @@ func (m *memAccessor) Slice(iv iq.Interval) iq.Samples {
 	return m.s[lo:hi]
 }
 
-func wifiBurstStream(t *testing.T, rate protocols.ID, payload int, snrDB float64, pad int) (iq.Samples, iq.Interval) {
+func wifiBurstStream(t testing.TB, rate protocols.ID, payload int, snrDB float64, pad int) (iq.Samples, iq.Interval) {
 	t.Helper()
 	mod, err := wifi.NewModulator(rate)
 	if err != nil {
@@ -360,7 +360,7 @@ func TestWiFiPhaseRejectsNoise(t *testing.T) {
 	}
 }
 
-func btBurstStream(t *testing.T, channel int, snrDB float64) (iq.Samples, iq.Interval) {
+func btBurstStream(t testing.TB, channel int, snrDB float64) (iq.Samples, iq.Interval) {
 	t.Helper()
 	mod := bluetooth.NewModulator()
 	dev := bluetooth.Device{LAP: 0x9E8B33, UAP: 0x47}

@@ -48,8 +48,11 @@ func (c BTPhaseConfig) withDefaults() BTPhaseConfig {
 // a continuous-phase modulation technique called GMSK. Thus, if the second
 // derivative of the phase is equal to zero, the packet is classified as
 // Bluetooth. The first derivative identifies the channel." The detection
-// cost is one complex conjugate multiply plus one arctan per probed
-// sample, plus subtractions.
+// cost is one complex conjugate multiply plus one table-anchored arctan
+// (dsp.FastPhaseDiff) per probed sample, plus subtractions; a probe that
+// passes the smoothness test pays one more pass for the drift, whose
+// circular mean comes from the unit conjugate products rather than a
+// cos and sin per difference.
 type BTPhase struct {
 	cfg BTPhaseConfig
 	src SampleAccessor
@@ -100,14 +103,14 @@ func (b *BTPhase) analyzePeakNF(pk Peak, noiseFloor float64, emit func(flowgraph
 	if len(samples) < 3 {
 		return
 	}
-	d := dsp.PhaseDiff(samples, b.diffs[:0])
+	d := dsp.FastPhaseDiff(samples, b.diffs[:0])
 	dd := dsp.SecondDiff(d, b.diffs2[:0])
 
 	smooth := dsp.MeanAbs(dd)
 	if smooth > b.cfg.MaxSecondDeriv {
 		return // phase jumps: PSK/DSSS or noise, not GFSK
 	}
-	drift := dsp.CircularMean(d)
+	drift := dsp.CircularMeanPhaseDiff(samples)
 	variance := dsp.Variance(d)
 	// Frequency modulation must contribute variance beyond what receiver
 	// noise alone predicts (var ≈ 1/SNR per adjacent-sample pair);

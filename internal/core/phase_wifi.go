@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"rfdump/internal/dsp"
 	"rfdump/internal/flowgraph"
 	"rfdump/internal/iq"
@@ -59,10 +57,6 @@ type WiFiPhase struct {
 	// sig[m] is +1 when the Barker template keeps sign from sample m to
 	// m+1 and -1 when it flips; boundary positions are skipped.
 	sig [wifi.SymbolSPS - 1]float64
-
-	// scratch buffers
-	diffs []float64
-	coss  []float64
 }
 
 // NewWiFiPhase returns the detector reading samples through src.
@@ -77,8 +71,6 @@ func NewWiFiPhase(src SampleAccessor, cfg WiFiPhaseConfig) *WiFiPhase {
 			w.sig[m] = -1
 		}
 	}
-	w.diffs = make([]float64, cfg.WindowSamples)
-	w.coss = make([]float64, cfg.WindowSamples)
 	return w
 }
 
@@ -97,33 +89,48 @@ func (w *WiFiPhase) Process(item flowgraph.Item, emit func(flowgraph.Item)) erro
 // windowScore computes the best Barker-signature correlation over the 8
 // possible symbol alignments for one window of samples. Score 1.0 means
 // every phase transition matches the chip pattern exactly.
+//
+// Signature entries in {0, pi} make each alignment's correlation a
+// signed average of cos(Δφ) over its transitions, and alignment a gives
+// transition i the sign sig[(i+a)%8] — which depends on i only through
+// its residue r = i%8. So one pass sums the cosines into eight residue
+// bins, and each alignment is an 8-term dot product over the bins:
+// the same sum regrouped, with no transcendental call per sample
+// (cos(Δφ) = re/|z| of the conjugate product, dsp.CosPhaseStep).
 func (w *WiFiPhase) windowScore(samples iq.Samples) float64 {
-	if len(samples) < 2*wifi.SymbolSPS {
+	const sps = wifi.SymbolSPS
+	if len(samples) < 2*sps {
 		return 0
 	}
-	d := dsp.PhaseDiff(samples, w.diffs[:0])
-	// cos(d) once per transition; signature entries in {0, pi} make the
-	// correlation a signed average of these cosines.
-	c := w.coss[:len(d)]
-	for i, v := range d {
-		c[i] = math.Cos(v)
-	}
-	best := 0.0
-	for a := 0; a < wifi.SymbolSPS; a++ {
-		var acc float64
-		var n int
-		for i := range c {
-			m := (i + a) % wifi.SymbolSPS
-			if m == wifi.SymbolSPS-1 {
-				continue // inter-symbol boundary: data-dependent
-			}
-			acc += w.sig[m] * c[i]
-			n++
+	n := len(samples) - 1 // transitions
+	var bins [sps]float64
+	i := 0
+	for ; i+sps <= n; i += sps {
+		s := samples[i : i+sps+1]
+		for r := range bins {
+			bins[r] += dsp.CosPhaseStep(s[r], s[r+1])
 		}
-		if n > 0 {
-			if s := acc / float64(n); s > best {
-				best = s
+	}
+	for r := 0; i+r < n; r++ {
+		bins[r] += dsp.CosPhaseStep(samples[i+r], samples[i+r+1])
+	}
+
+	best := 0.0
+	for a := 0; a < sps; a++ {
+		var acc float64
+		for r, c := range bins {
+			if m := (r + a) % sps; m != sps-1 { // inter-symbol boundary: data-dependent
+				acc += w.sig[m] * c
 			}
+		}
+		// The skipped residue holds n/sps transitions, one more when it
+		// falls in the partial last symbol.
+		skipped := n / sps
+		if (2*sps-1-a)%sps < n%sps {
+			skipped++
+		}
+		if s := acc / float64(n-skipped); s > best {
+			best = s
 		}
 	}
 	return best

@@ -5,6 +5,7 @@ import (
 
 	"rfdump/internal/flowgraph"
 	"rfdump/internal/iq"
+	"rfdump/internal/protocols"
 )
 
 // Micro-benchmarks for the hot inner loops of the detection stage —
@@ -32,25 +33,39 @@ func BenchmarkPeakDetectorPerChunk(b *testing.B) {
 	}
 }
 
+// BenchmarkWiFiPhaseWindow scores one default-size window inside a
+// 1 Mbps DSSS burst: the matched path every window of an 802.11b peak
+// takes.
 func BenchmarkWiFiPhaseWindow(b *testing.B) {
-	stream := burstStreamB(4000, 20, 2)
+	stream, span := wifiBurstStream(b, protocols.WiFi80211b1M, 200, 20, 400)
 	det := NewWiFiPhase(&memAccessorB{s: stream}, WiFiPhaseConfig{})
-	b.SetBytes(int64(iq.ChunkSamples * 8))
+	w := stream[span.Start+1000 : span.Start+1000+iq.ChunkSamples]
+	if s := det.windowScore(w); s < det.cfg.Threshold {
+		b.Fatalf("window scores %.3f, below threshold %.2f: not the matched path", s, det.cfg.Threshold)
+	}
+	b.SetBytes(int64(len(w) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.windowScore(stream[1000 : 1000+iq.ChunkSamples])
+		det.windowScore(w)
 	}
 }
 
+// BenchmarkBTPhaseProbe classifies one GFSK packet: the accepted path,
+// which reads the whole probe, its derivatives and the channel drift.
 func BenchmarkBTPhaseProbe(b *testing.B) {
-	stream := burstStreamB(4000, 20, 3)
+	stream, span := btBurstStream(b, 3, 20)
 	det := NewBTPhase(&memAccessorB{s: stream}, iq.NewClock(0), BTPhaseConfig{})
-	pk := Peak{Span: iq.Interval{Start: 500, End: 3500}, MeanPower: 100}
-	drain := func(flowgraph.Item) {}
-	b.SetBytes(int64(pk.Span.Len() * 8))
+	pk := Peak{Span: span, MeanPower: 100}
+	hits := 0
+	count := func(flowgraph.Item) { hits++ }
+	det.analyzePeak(pk, count)
+	if hits != 1 {
+		b.Fatalf("probe emitted %d detections, want 1: not the accepted path", hits)
+	}
+	b.SetBytes(int64(det.cfg.ProbeSamples * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.analyzePeak(pk, drain)
+		det.analyzePeak(pk, count)
 	}
 }
 

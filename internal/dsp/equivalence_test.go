@@ -426,3 +426,23 @@ func TestPropCosPhaseDiff(t *testing.T) {
 		}
 	}
 }
+
+// TestPropCircularMeanPhaseDiff: the unit-phasor circular mean must be
+// the CircularMean of the PhaseDiff reference, across lengths and with
+// a drift that puts the mean near the ±pi wrap.
+func TestPropCircularMeanPhaseDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(propSeed(t)))
+	for _, n := range []int{0, 1, 2, 3, 600, 4096} {
+		for _, drift := range []float64{0, 0.4, -1.3, math.Pi - 0.01} {
+			in := randSamples(rng, n)
+			for i := range in {
+				in[i] += complex64(complex(4*math.Cos(drift*float64(i)), 4*math.Sin(drift*float64(i))))
+			}
+			got := CircularMeanPhaseDiff(in)
+			want := CircularMean(PhaseDiff(in, nil))
+			if e := math.Abs(WrapPhase(got - want)); e > 1e-9 {
+				t.Fatalf("n=%d drift=%v: got %v want %v (err %g)", n, drift, got, want, e)
+			}
+		}
+	}
+}

@@ -67,19 +67,46 @@ func CosPhaseDiff(block []complex64, out []float32) []float32 {
 	}
 	out = growF32(out, len(block)-1)
 	for i := 0; i+1 < len(block); i++ {
-		a := block[i]
-		b := block[i+1]
-		// b * conj(a)
+		out[i] = float32(CosPhaseStep(block[i], block[i+1]))
+	}
+	return out
+}
+
+// CosPhaseStep is one CosPhaseDiff entry at full precision:
+// cos(arg(b * conj(a))) = re/|b * conj(a)|, and 1 for a zero product.
+// For finite float32 inputs the float64 product neither overflows nor
+// underflows, so the identity holds to rounding for every sample pair.
+func CosPhaseStep(a, b complex64) float64 {
+	re := float64(real(b))*float64(real(a)) + float64(imag(b))*float64(imag(a))
+	im := float64(imag(b))*float64(real(a)) - float64(real(b))*float64(imag(a))
+	n2 := re*re + im*im
+	if n2 == 0 {
+		return 1
+	}
+	return re / math.Sqrt(n2)
+}
+
+// CircularMeanPhaseDiff is CircularMean(PhaseDiff(block)) without a
+// transcendental call per sample: the cosine and sine of each
+// difference are the conjugate product scaled to unit length, so the
+// mean direction is the angle of the summed unit products. A zero
+// product contributes (1, 0), the cos and sin of atan2(0, 0) = 0.
+func CircularMeanPhaseDiff(block []complex64) float64 {
+	var sx, sy float64
+	for i := 0; i+1 < len(block); i++ {
+		a, b := block[i], block[i+1]
 		re := float64(real(b))*float64(real(a)) + float64(imag(b))*float64(imag(a))
 		im := float64(imag(b))*float64(real(a)) - float64(real(b))*float64(imag(a))
 		n2 := re*re + im*im
 		if n2 == 0 {
-			out[i] = 1
+			sx++
 			continue
 		}
-		out[i] = float32(re / math.Sqrt(n2))
+		inv := 1 / math.Sqrt(n2)
+		sx += re * inv
+		sy += im * inv
 	}
-	return out
+	return math.Atan2(sy, sx)
 }
 
 // FastPhaseDiff is PhaseDiff with the library atan2 replaced by a
